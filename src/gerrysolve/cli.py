@@ -5,10 +5,15 @@ Four subcommands share the instance JSON schema from the model module.
 solve loads an instance, walks the candidate target counts from 1 up to
 k, and answers as soon as one succeeds, since the distinguished candidate
 wins overall exactly when it wins exactly k_star districts for some
-k_star with everyone else held a notch lower.  The per-target solver can
-be forced with --algo or left on auto, which weighs the enumeration
-oracle's cut-choice count against the path DP's cost estimate and falls
-back to the subset-algebra solver off paths.
+k_star with everyone else held a notch lower.  solve_targets is that
+loop, the only solve pipeline in the package; solve_wgm is the same loop
+for library callers, plus a witness when the exact solver said yes.  A
+target with k > m * k_star - (m - 1) is answered no without running a
+solver, because the m - 1 rivals held to k_star - 1 wins each cannot
+account for the remaining districts.  The per-target solver can be forced
+with --algo or left on auto, which weighs the enumeration oracle's
+cut-choice count against the path DP's cost estimate and falls back to
+the subset-algebra solver off paths.
 
 gen emits a random instance, byte-identical for a given seed.  Trees come
 from random Pruefer sequences; general graphs add extra edges on top of a
@@ -43,6 +48,7 @@ from . import __version__
 from .detfpt import solve_target_det
 from .exact import VERTEX_CAP, solve_target_exact
 from .model import (
+    DEFAULT_RULE,
     LEX_MIN,
     PREFER_P,
     Instance,
@@ -106,8 +112,6 @@ def run_target(
     trials: int = 8,
 ) -> Tuple[bool, Optional[Partition]]:
     """Run one solver on one target count; witness when the solver has one."""
-    if solver in ("detfpt", "randfpt") and inst.graph_class != "path":
-        raise ValueError(f"{solver} requires a path instance, got {inst.graph_class!r}")
     if solver == "oracle":
         return solve_target_oracle(inst, k_star, rule)
     if solver == "detfpt":
@@ -117,6 +121,71 @@ def run_target(
     if solver == "exact":
         return solve_target_exact(inst, k_star, rule), None
     raise ValueError(f"unknown solver {solver!r}")
+
+
+def target_ruled_out(inst: Instance, k_star: int) -> bool:
+    """True when the win count alone makes the target a no.
+
+    Every district has exactly one winner.  If p wins k_star districts and
+    each of the m - 1 rivals wins at most k_star - 1, then
+    k <= k_star + (m - 1)(k_star - 1) = m * k_star - (m - 1).  A larger k
+    leaves districts that no admissible winner can take.  k_star = k is
+    never ruled out, since m * k - (m - 1) >= k for every k >= 1.
+    """
+    return inst.k > inst.m * k_star - (inst.m - 1)
+
+
+def solve_targets(
+    inst: Instance,
+    rule: TieBreakRule,
+    algo: str = "auto",
+    k_star: Optional[int] = None,
+    seed: int = 0,
+    trials: int = 8,
+) -> Tuple[Optional[int], Optional[Partition], str]:
+    """First target count that is a yes, its witness, and the solver used.
+
+    Tries k_star alone when given, else every target from 1 to k in order;
+    the plain question is the disjunction of the targets.  A target that
+    target_ruled_out rejects is a no without running a solver, which spares
+    auto the oracle scans it would pick for low targets on long paths.  The
+    path-only check runs before any target, so a skipped target cannot hide
+    a usage error.  Returns (None, None, algo) when every target is a no.
+    pick_solver and run_target are looked up in this module's globals at
+    call time, so wrappers installed on the module see every target.
+    """
+    if algo in ("detfpt", "randfpt") and inst.graph_class != "path":
+        raise ValueError(f"{algo} requires a path instance, got {inst.graph_class!r}")
+    if k_star is not None and not (1 <= k_star <= inst.k):
+        raise ValueError(f"k-star={k_star} outside 1..k={inst.k}")
+    for ks in [k_star] if k_star is not None else range(1, inst.k + 1):
+        if target_ruled_out(inst, ks):
+            continue
+        solver = pick_solver(inst, ks) if algo == "auto" else algo
+        found, part = run_target(inst, ks, solver, rule, seed=seed, trials=trials)
+        if found:
+            return ks, part, solver
+    return None, None, algo
+
+
+def solve_wgm(
+    inst: Instance, rule: TieBreakRule = DEFAULT_RULE, algo: str = "auto"
+) -> Tuple[bool, Optional[Partition]]:
+    """Can p strictly beat every rival in some k-districting?
+
+    solve_targets over every target, plus one witness step: when the exact
+    solver says yes, the witness comes from the solver pick_solver names
+    for that target, and is None when that is the exact solver itself.
+    randfpt never yields a witness.
+    """
+    k_star, part, solver = solve_targets(inst, rule, algo)
+    if k_star is None:
+        return False, None
+    if solver == "exact":
+        witness_solver = pick_solver(inst, k_star)
+        if witness_solver != "exact":
+            part = run_target(inst, k_star, witness_solver, rule)[1]
+    return True, part
 
 
 # --------------------------------------------------------------------------
@@ -345,21 +414,12 @@ def run_difftest(
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance(args.file)
     rule = TieBreakRule(TIEBREAKS[args.tiebreak])
-    if args.k_star is not None and not (1 <= args.k_star <= inst.k):
-        raise ValueError(f"k-star={args.k_star} outside 1..k={inst.k}")
-    targets = [args.k_star] if args.k_star is not None else list(range(1, inst.k + 1))
     start = time.perf_counter()
-    answer = False
-    achieved: Optional[int] = None
-    witness: Optional[Partition] = None
-    used = args.algo
-    for ks in targets:
-        solver = pick_solver(inst, ks) if args.algo == "auto" else args.algo
-        found, part = run_target(inst, ks, solver, rule, seed=args.seed, trials=args.trials)
-        if found:
-            answer, achieved, witness, used = True, ks, part, solver
-            break
+    achieved, witness, used = solve_targets(
+        inst, rule, args.algo, args.k_star, seed=args.seed, trials=args.trials
+    )
     wall = time.perf_counter() - start
+    answer = achieved is not None
 
     witness_lists: Optional[List[List[int]]] = None
     if args.witness and witness is not None:

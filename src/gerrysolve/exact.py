@@ -29,27 +29,20 @@ stay far below the modulus because every operand is saturated to 0/1 first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .detfpt import solve_target_det
 from .model import (
     DEFAULT_RULE,
     Instance,
-    Partition,
     TieBreakRule,
+    adjacency_masks,
     district_winner,
+    mask_vertices,
 )
-from .oracle import (
-    GENERAL_VERTEX_CAP,
-    connected_subsets_with_seed,
-    solve_target_oracle,
-    solve_wgm_oracle,
-)
-from .randfpt import solve_target_rand
+from .oracle import connected_subsets_with_seed
 
 VERTEX_CAP = 22
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
@@ -80,17 +73,6 @@ def _popcounts(n_bits: int) -> np.ndarray:
             table = np.concatenate([table, table + 1])
         _pc_cache[n_bits] = table
     return table
-
-
-def _mask_vertices(mask: int) -> List[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -315,16 +297,13 @@ def enumerate_districts(
     """All connected subsets of the instance graph, keyed by their winner."""
     if inst.n > cap:
         raise ValueError(f"district enumeration capped at {cap} vertices, got n={inst.n}")
-    adj_masks = [0] * inst.n
-    for u, v in inst.edges:
-        adj_masks[u] |= 1 << v
-        adj_masks[v] |= 1 << u
+    adj_masks = adjacency_masks(inst.n, inst.edges)
     full = (1 << inst.n) - 1
     buckets: List[List[int]] = [[] for _ in range(inst.m)]
     for v in range(inst.n):
         pool = full & ~((1 << v) - 1)
         for mask in connected_subsets_with_seed(adj_masks, pool, v):
-            winner = district_winner(inst, _mask_vertices(mask), rule)
+            winner = district_winner(inst, mask_vertices(mask), rule)
             buckets[winner].append(mask)
     return DistrictFamily(inst.n, tuple(tuple(sorted(b)) for b in buckets))
 
@@ -542,68 +521,3 @@ def solve_target_exact(
             if not changed:
                 break
     return _contains(tables[spare], full)
-
-
-# --------------------------------------------------------------------------
-# top-level dispatcher
-# --------------------------------------------------------------------------
-
-_ORACLE_PARTITION_BUDGET = 200_000
-
-
-def _pick_algo(inst: Instance) -> str:
-    if inst.graph_class in ("path", "tree"):
-        if math.comb(inst.n - 1, inst.k - 1) <= _ORACLE_PARTITION_BUDGET:
-            return "oracle"
-        if inst.graph_class == "path":
-            return "detfpt"
-    if inst.n <= GENERAL_VERTEX_CAP:
-        return "oracle"
-    if inst.n <= VERTEX_CAP:
-        return "exact"
-    raise ValueError(f"no solver applies: n={inst.n}, graph_class={inst.graph_class!r}")
-
-
-def _exact_witness(inst: Instance, k_star: int, rule: TieBreakRule) -> Optional[Partition]:
-    """Concrete partition for a yes decision, when a witness solver fits."""
-    if inst.graph_class == "path":
-        return solve_target_det(inst, k_star, rule)[1]
-    cheap_tree = (
-        inst.graph_class == "tree"
-        and math.comb(inst.n - 1, inst.k - 1) <= _ORACLE_PARTITION_BUDGET
-    )
-    if cheap_tree or inst.n <= GENERAL_VERTEX_CAP:
-        return solve_target_oracle(inst, k_star, rule)[1]
-    return None
-
-
-def solve_wgm(
-    inst: Instance, rule: TieBreakRule = DEFAULT_RULE, algo: str = "auto"
-) -> Tuple[bool, Optional[Partition]]:
-    """Can p strictly beat every rival in some k-districting?
-
-    Tries the target question for k_star = 1, 2, ... and stops at the first
-    success.  algo picks the engine: "oracle", "detfpt", "randfpt", "exact",
-    or "auto" to choose by graph class and size.  The witness is a partition
-    when the chosen route can produce one, else None.
-    """
-    choice = _pick_algo(inst) if algo == "auto" else algo
-    if choice == "oracle":
-        return solve_wgm_oracle(inst, rule)
-    if choice == "detfpt":
-        for k_star in range(1, inst.k + 1):
-            found, part = solve_target_det(inst, k_star, rule)
-            if found:
-                return True, part
-        return False, None
-    if choice == "randfpt":
-        for k_star in range(1, inst.k + 1):
-            if solve_target_rand(inst, k_star, rule):
-                return True, None
-        return False, None
-    if choice == "exact":
-        for k_star in range(1, inst.k + 1):
-            if solve_target_exact(inst, k_star, rule):
-                return True, _exact_witness(inst, k_star, rule)
-        return False, None
-    raise ValueError(f"unknown algo {algo!r}")

@@ -174,6 +174,25 @@ def build_adjacency(n: int, edges: Iterable[Tuple[int, int]]) -> List[List[int]]
     return adj
 
 
+def adjacency_masks(n: int, edges: Iterable[Tuple[int, int]]) -> List[int]:
+    """Neighbour sets as bitmasks: bit w of entry v is set when {v, w} is an edge."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def mask_vertices(mask: int) -> List[int]:
+    """Indices of the set bits of `mask`, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def is_connected_subset(adj: Sequence[Sequence[int]], subset: Iterable[int]) -> bool:
     verts = set(subset)
     if not verts:
@@ -351,36 +370,51 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _typed(value, kind: type, what: str):
+    """`value` itself when it is a `kind`; a bool never passes as an int."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def instance_from_json(text: str) -> Instance:
+    """Parse and validate an instance; any malformed field raises ValueError."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
+    _typed(obj, dict, "instance JSON")
     required = {"n", "edges", "graph_class", "candidates", "p", "k", "weights"}
     missing = required - set(obj)
     if missing:
         raise ValueError(f"instance JSON missing keys: {sorted(missing)}")
-    names = list(obj["candidates"])
+    names = [_typed(c, str, "candidate name") for c in _typed(obj["candidates"], list, "candidates")]
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise ValueError("duplicate candidate names")
-    if obj["p"] not in index:
+    if _typed(obj["p"], str, "p") not in index:
         raise ValueError(f"p={obj['p']!r} is not in the candidate list")
+    edges = []
+    for pair in _typed(obj["edges"], list, "edges"):
+        if len(_typed(pair, list, "edge")) != 2:
+            raise ValueError(f"edge {pair} does not have two endpoints")
+        u, v = (_typed(x, int, "edge endpoint") for x in pair)
+        edges.append((min(u, v), max(u, v)))
     weights = []
-    for v, wmap in enumerate(obj["weights"]):
+    for v, wmap in enumerate(_typed(obj["weights"], list, "weights")):
         converted = {}
-        for name, w in wmap.items():
+        for name, w in _typed(wmap, dict, f"weights of vertex {v}").items():
             if name not in index:
                 raise ValueError(f"vertex {v} has weight for unknown candidate {name!r}")
-            converted[index[name]] = w
+            converted[index[name]] = _typed(w, int, f"vertex {v} weight for {name!r}")
         weights.append(converted)
     inst = Instance(
-        n=obj["n"],
-        edges=tuple((min(u, v), max(u, v)) for u, v in obj["edges"]),
-        graph_class=obj["graph_class"],
+        n=_typed(obj["n"], int, "n"),
+        edges=tuple(edges),
+        graph_class=_typed(obj["graph_class"], str, "graph_class"),
         candidates=tuple(names),
         p=index[obj["p"]],
-        k=obj["k"],
+        k=_typed(obj["k"], int, "k"),
         weights=tuple(weights),
     )
     inst.validate()

@@ -28,8 +28,10 @@ from .model import (
     Instance,
     Partition,
     TieBreakRule,
+    adjacency_masks,
     district_winner,
     make_partition,
+    mask_vertices,
 )
 
 GENERAL_VERTEX_CAP = 16
@@ -67,17 +69,6 @@ def _enumerate_cut_edges(inst: Instance, k: int) -> Iterator[Partition]:
         yield make_partition(comps).canonical()
 
 
-def _mask_bits(mask: int) -> List[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
-
-
 def connected_subsets_with_seed(adj_masks: List[int], pool: int, seed: int) -> Iterator[int]:
     """All connected subsets of `pool` (a bitmask) that contain `seed`.
 
@@ -106,10 +97,7 @@ def _enumerate_recursive(inst: Instance, k: int) -> Iterator[Partition]:
         raise ValueError(
             f"general-graph enumeration capped at {GENERAL_VERTEX_CAP} vertices, got n={inst.n}"
         )
-    adj_masks = [0] * inst.n
-    for u, v in inst.edges:
-        adj_masks[u] |= 1 << v
-        adj_masks[v] |= 1 << u
+    adj_masks = adjacency_masks(inst.n, inst.edges)
     full = (1 << inst.n) - 1
 
     def is_connected_mask(mask: int) -> bool:
@@ -142,7 +130,7 @@ def _enumerate_recursive(inst: Instance, k: int) -> Iterator[Partition]:
                 yield [district, *tail]
 
     for masks in rec(full, k):
-        yield make_partition([_mask_bits(m) for m in masks])
+        yield make_partition([mask_vertices(m) for m in masks])
 
 
 def enumerate_partitions(

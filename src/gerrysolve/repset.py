@@ -30,6 +30,8 @@ from itertools import combinations
 from math import comb
 from typing import Dict, Iterable, List, Optional, Set
 
+from .model import mask_vertices
+
 FIELD_PRIME = (1 << 61) - 1  # Mersenne prime, large enough to keep random determinants nonzero
 
 
@@ -56,17 +58,6 @@ def star(fam_a: Iterable[int], fam_b: Iterable[int]) -> Set[int]:
             if a & b == 0:
                 out.add(a | b)
     return out
-
-
-def _mask_positions(mask: int) -> List[int]:
-    pos = []
-    i = 0
-    while mask:
-        if mask & 1:
-            pos.append(i)
-        mask >>= 1
-        i += 1
-    return pos
 
 
 def _random_matrix(rows: int, cols: int, seed: int) -> List[List[int]]:
@@ -102,7 +93,7 @@ def _wedge_vector(mask: int, matrix: List[List[int]], p_card: int) -> List[int]:
     Coordinates are indexed by p-subsets of the matrix's rows in
     lexicographic order.  For p = 0 the vector is the single scalar 1.
     """
-    cols = _mask_positions(mask)
+    cols = mask_vertices(mask)
     rows_total = len(matrix)
     if p_card == 0:
         return [1]

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from gerrysolve.cli import (
     pick_solver,
     prufer_tree,
     run_difftest,
+    target_ruled_out,
 )
 from gerrysolve.model import (
     TieBreakRule,
@@ -23,6 +27,7 @@ from gerrysolve.model import (
     make_partition,
     satisfies_target,
 )
+from gerrysolve.oracle import solve_target_oracle
 
 GOLDEN = Path(__file__).parent / "data" / "reduced_gadget.json"
 
@@ -184,6 +189,92 @@ class TestSolve:
         path, _ = write_instance(tmp_path)
         with pytest.raises(SystemExit):
             cli.main(["solve", str(path), "--algo", "guess"])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "5",
+            '{"n": "4", "edges": [[0, 1]], "graph_class": "path", "candidates": ["p"],'
+            ' "p": "p", "k": 1, "weights": [{"p": 1}, {"p": 1}]}',
+            '{"n": 2, "edges": [[0, "1"]], "graph_class": "path", "candidates": ["p"],'
+            ' "p": "p", "k": 1, "weights": [{"p": 1}, {"p": 1}]}',
+            '{"n": 2, "edges": [[0, 1]], "graph_class": "path", "candidates": ["p"],'
+            ' "p": ["p"], "k": 1, "weights": [{"p": 1}, {"p": 1}]}',
+            '{"n": 2, "edges": [[0, 1]], "graph_class": "path", "candidates": ["p"],'
+            ' "p": "p", "k": 1, "weights": [{"p": true}, {"p": 1}]}',
+        ],
+        ids=["bare-number", "string-n", "string-endpoint", "list-p", "bool-weight"],
+    )
+    def test_malformed_instance_is_a_one_line_error(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gerrysolve", "solve", str(bad)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def write_json(tmp_path, obj):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+class TestTargetLoop:
+    def test_long_path_skips_ruled_out_targets_instead_of_scanning(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # auto would hand k_star = 1..4 to the oracle, which scans C(39, 9)
+        # partitions each; the win count bound rules all of k_star <= 5 out.
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle must not run on this instance")
+
+        monkeypatch.setattr(cli, "solve_target_oracle", no_oracle)
+        voters = ["p" if i % 3 != 2 else "c" for i in range(40)]
+        path = write_json(tmp_path, {
+            "n": 40,
+            "edges": [[i, i + 1] for i in range(39)],
+            "graph_class": "path",
+            "candidates": ["p", "c"],
+            "p": "p",
+            "k": 10,
+            "weights": [{name: 1} for name in voters],
+        })
+        assert cli.main(["solve", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["answer"], report["k_star"], report["algo"]) == ("yes", 6, "detfpt")
+
+    def test_ruled_out_targets_are_noes(self):
+        rng = random.Random(23)
+        rules = (TieBreakRule("lex_min_candidate"), TieBreakRule("prefer_p_then_lex"))
+        skipped = 0
+        for gclass, n_max in (("path", 9), ("tree", 8), ("general", 7)):
+            for _ in range(12):
+                n = rng.randint(1, n_max)
+                inst = generate_instance(
+                    rng, n=n, m=rng.randint(1, 4), graph_class=gclass, weight_max=3,
+                    k=rng.randint(1, n),
+                )
+                assert not target_ruled_out(inst, inst.k)
+                for ks in range(1, inst.k):
+                    if not target_ruled_out(inst, ks):
+                        continue
+                    skipped += 1
+                    for rule in rules:
+                        assert not solve_target_oracle(inst, ks, rule)[0], (inst, ks, rule)
+        assert skipped >= 20
+
+    def test_skipped_target_keeps_the_path_only_error(self, tmp_path, capsys):
+        path, inst = write_instance(tmp_path, seed=2, n=6, m=2, k=3, graph_class="tree")
+        assert target_ruled_out(inst, 1)
+        assert cli.main(["solve", str(path), "--algo", "detfpt", "--k-star", "1"]) == 2
+        assert "requires a path" in capsys.readouterr().err
 
 
 class TestPickSolver:

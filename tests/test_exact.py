@@ -19,8 +19,8 @@ from gerrysolve.exact import (
     hamming_projection,
     poly_multiply,
     solve_target_exact,
-    solve_wgm,
 )
+from gerrysolve.cli import solve_targets, solve_wgm
 from gerrysolve.model import (
     DEFAULT_RULE,
     Instance,
@@ -523,7 +523,7 @@ class TestSolveWgm:
     def test_auto_uses_detfpt_for_long_paths(self):
         voters = ["p" if i % 3 != 2 else "c" for i in range(40)]
         inst = make_path(voters, ["p", "c"], k=10)
-        assert exact._pick_algo(inst) == "detfpt"
+        assert solve_targets(inst, DEFAULT_RULE)[2] == "detfpt"
         found, part = solve_wgm(inst)
         assert found, "26 p-heavy vertices against 14 should carve 10 winnable districts"
         assert part is not None
