@@ -2,18 +2,21 @@
 
 A connected district of a path graph is a contiguous index range, so a
 k-district partition of the path 1..n is the same thing as a chain of k
-intervals.  That chain becomes a walk in a layered DAG:
+intervals.  That chain becomes a walk in a layered DAG.  Its arcs follow a
+closed form and are derived from the interval winner table, never stored:
 
     vertices   s, t, and one vertex per interval (i, j) with 1 <= i <= j <= n
     s arcs     s -> (1, j) for every j, always unlabeled
-    chain arcs (i, j) -> (j+1, r) for every r in j+1..n
-    t arcs     (i, n) -> t
+    chain arcs (i, j) -> (j+1, r) for every r in j+1..n, if (i, j) is live
+    t arcs     (i, n) -> t, if (i, n) is live
 
 Every arc leaving an interval vertex is tagged by that interval's winning
 candidate: if the winner is the distinguished candidate p the arc is a single
 unlabeled copy, otherwise the arc is duplicated into k_star - 1 parallel
-copies labeled (winner, 1) .. (winner, k_star - 1).  With k_star = 1 a
-non-p interval therefore has no outgoing arcs at all.
+copies labeled (winner, 1) .. (winner, k_star - 1).  An interval is live
+(has outgoing arcs) when p wins it or k_star >= 2.  So the tails of (i, j)
+are s when i = 1 and otherwise the live (h, i-1) for ascending h, and the
+tails of t are the live (h, n).
 
 The payoff is a reformulation of the target question: the path instance has a
 partition where p wins exactly k_star districts and every rival at most
@@ -28,7 +31,7 @@ the instance happens in decode_path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .model import (
@@ -53,9 +56,17 @@ class ArcLabel:
     copy_index: int
 
 
+Arc = Tuple[Vertex, Vertex, Optional[ArcLabel]]
+
+
 @dataclass
 class AuxGraph:
-    """The layered interval DAG for one (instance, k_star) pair."""
+    """The layered interval DAG for one (instance, k_star) pair.
+
+    Only the winner table is stored; neighbours and arcs are computed from
+    the closed form, in closed-form order: tails by (start, end), heads by
+    ascending end, labeled copies by ascending copy index.
+    """
 
     n: int
     k: int
@@ -63,9 +74,6 @@ class AuxGraph:
     p: int
     m: int
     interval_winner: Dict[Tuple[int, int], int]
-    arcs: List[Tuple[Vertex, Vertex, Optional[ArcLabel]]]
-    _succ: Dict[Vertex, List[Vertex]] = field(default_factory=dict, repr=False)
-    _pred: Dict[Vertex, List[Vertex]] = field(default_factory=dict, repr=False)
 
     @property
     def vertices(self) -> List[Vertex]:
@@ -78,12 +86,37 @@ class AuxGraph:
     def vertex_count(self) -> int:
         return self.n * (self.n - 1) // 2 + self.n + 2
 
+    def _live(self, interval: Tuple[int, int]) -> bool:
+        return self.k_star >= 2 or self.interval_winner[interval] == self.p
+
     def successors(self, v: Vertex) -> List[Vertex]:
         """Distinct arc heads out of v (parallel labeled copies collapsed)."""
-        return self._succ.get(v, [])
+        if v == SOURCE:
+            return [(1, j) for j in range(1, self.n + 1)]
+        if v == SINK or not self._live(v):
+            return []
+        if v[1] == self.n:
+            return [SINK]
+        return [(v[1] + 1, r) for r in range(v[1] + 1, self.n + 1)]
 
     def predecessors(self, v: Vertex) -> List[Vertex]:
-        return self._pred.get(v, [])
+        """Distinct arc tails into v (parallel labeled copies collapsed)."""
+        if v == SOURCE:
+            return []
+        end = self.n if v == SINK else v[0] - 1
+        if end == 0:
+            return [SOURCE]
+        return [(h, end) for h in range(1, end + 1) if self._live((h, end))]
+
+    @property
+    def arcs(self) -> List[Arc]:
+        """Every arc, parallel labeled copies included, built on each access."""
+        out: List[Arc] = [(SOURCE, head, None) for head in self.successors(SOURCE)]
+        for tail in self.vertices[1:-1]:
+            w = self.interval_winner[tail]
+            labels = [None] if w == self.p else [ArcLabel(w, c) for c in range(1, self.k_star)]
+            out.extend((tail, head, lab) for head in self.successors(tail) for lab in labels)
+        return out
 
     def label_universe(self) -> List[ArcLabel]:
         """All (k_star - 1) * (m - 1) possible labels, in a fixed order."""
@@ -98,7 +131,7 @@ class AuxGraph:
 def build_aux_graph(
     inst: Instance, k_star: int, rule: TieBreakRule = DEFAULT_RULE
 ) -> AuxGraph:
-    """Construct the interval DAG.  The instance must be a path."""
+    """Construct the interval DAG (its winner table).  The instance must be a path."""
     if inst.graph_class != "path":
         raise ValueError("the interval digraph is defined for path instances only")
     if not (1 <= k_star <= inst.k):
@@ -119,47 +152,7 @@ def build_aux_graph(
             best = max(totals.values())
             winner[(i, j)] = rule.pick([c for c, t in totals.items() if t == best], inst.p)
 
-    def out_labels(tail: Tuple[int, int]) -> List[Optional[ArcLabel]]:
-        w = winner[tail]
-        if w == inst.p:
-            return [None]
-        return [ArcLabel(w, idx) for idx in range(1, k_star)]
-
-    arcs: List[Tuple[Vertex, Vertex, Optional[ArcLabel]]] = []
-    for j in range(1, n + 1):
-        arcs.append((SOURCE, (1, j), None))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            labels = out_labels((i, j))
-            if j < n:
-                for r in range(j + 1, n + 1):
-                    for lab in labels:
-                        arcs.append(((i, j), (j + 1, r), lab))
-            else:
-                for lab in labels:
-                    arcs.append(((i, j), SINK, lab))
-
-    succ: Dict[Vertex, List[Vertex]] = {}
-    pred: Dict[Vertex, List[Vertex]] = {}
-    seen = set()
-    for tail, head, _ in arcs:
-        if (tail, head) in seen:
-            continue
-        seen.add((tail, head))
-        succ.setdefault(tail, []).append(head)
-        pred.setdefault(head, []).append(tail)
-
-    return AuxGraph(
-        n=n,
-        k=inst.k,
-        k_star=k_star,
-        p=inst.p,
-        m=inst.m,
-        interval_winner=winner,
-        arcs=arcs,
-        _succ=succ,
-        _pred=pred,
-    )
+    return AuxGraph(n=n, k=inst.k, k_star=k_star, p=inst.p, m=inst.m, interval_winner=winner)
 
 
 def decode_path(aux: AuxGraph, st_path: Iterable[Vertex]) -> Partition:
@@ -195,7 +188,7 @@ def _vertex_str(v: Vertex) -> str:
 
 
 def dump_arcs(aux: AuxGraph) -> str:
-    """One line per arc, parallel copies included, in construction order.
+    """One line per arc, parallel copies included, in closed-form order.
 
     Unlabeled arcs print `[-]`, labeled ones `[candidate,copy]`.
     """

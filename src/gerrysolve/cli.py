@@ -12,8 +12,8 @@ target with k > m * k_star - (m - 1) is answered no without running a
 solver, because the m - 1 rivals held to k_star - 1 wins each cannot
 account for the remaining districts.  The per-target solver can be forced
 with --algo or left on auto, which weighs the enumeration oracle's
-cut-choice count against the path DP's cost estimate and falls back to
-the subset-algebra solver off paths.
+cut-choice count against a fixed budget and the path DP's cost estimate
+and falls back to the subset-algebra solver off paths.
 
 gen emits a random instance, byte-identical for a given seed.  Trees come
 from random Pruefer sequences; general graphs add extra edges on top of a
@@ -79,15 +79,16 @@ DIFFTEST_MAX_CANDIDATES = 4
 def pick_solver(inst: Instance, k_star: int) -> str:
     """Cheapest applicable deterministic solver for one target count.
 
-    On a path the choice weighs the oracle's C(n-1, k-1) cut choices
-    against the DP's roughly 4^(k - k_star) * n^3 table work.  Off paths
-    the DP does not apply, so the oracle runs while its enumeration stays
-    small and the subset-algebra solver covers the rest up to its cap.
-    The estimates only steer dispatch; every solver stays exact.
+    On a path the oracle runs only while its C(n-1, k-1) cut choices stay
+    within ORACLE_CUT_BUDGET and below the DP's loose 4^(k - k_star) * n^3
+    estimate.  Off paths the DP does not apply, so the oracle runs while its
+    enumeration stays small and the subset-algebra solver covers the rest up
+    to its cap.  The estimates only steer dispatch; every solver stays exact.
     """
     n, k = inst.n, inst.k
     if inst.graph_class == "path":
-        if comb(n - 1, k - 1) < 4 ** (k - k_star) * n**3:
+        cuts = comb(n - 1, k - 1)
+        if cuts <= ORACLE_CUT_BUDGET and cuts < 4 ** (k - k_star) * n**3:
             return "oracle"
         return "detfpt"
     if inst.graph_class == "tree":

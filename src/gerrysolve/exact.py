@@ -423,10 +423,9 @@ def _j_iterations(k: int, k_star: int) -> int:
     return min(k_star - 1, k - k_star)
 
 
-def _check_memory_budget(n: int, k: int, k_star: int, memory_cap: int) -> None:
-    transform_words = 6 * (1 << (n + 1))
-    table_words = (k - k_star + 1) * (1 << n)
-    estimate = 8 * (transform_words + table_words)
+def check_memory_budget(estimate: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> None:
+    """Raise MemoryError, before anything is allocated, when a solver's
+    estimated working set in bytes exceeds the cap."""
     if estimate > memory_cap:
         raise MemoryError(
             f"estimated working set {estimate} bytes exceeds the cap of {memory_cap} bytes"
@@ -457,7 +456,9 @@ def solve_target_exact(
         raise ValueError(f"k_star={k_star} outside 1..k={inst.k}")
     if inst.n > VERTEX_CAP:
         raise ValueError(f"exact solver capped at {VERTEX_CAP} vertices, got n={inst.n}")
-    _check_memory_budget(inst.n, inst.k, k_star, memory_cap)
+    transform_words = 6 * (1 << (inst.n + 1))
+    table_words = (inst.k - k_star + 1) * (1 << inst.n)
+    check_memory_budget(8 * (transform_words + table_words), memory_cap)
 
     n, k = inst.n, inst.k
     spare = k - k_star

@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .auxgraph import SINK, SOURCE, ArcLabel, AuxGraph, build_aux_graph
+from .exact import check_memory_budget
 from .model import DEFAULT_RULE, Instance, TieBreakRule
 
 # ---------------------------------------------------------------------------
@@ -506,7 +507,9 @@ def detect_multilinear(
     term.  When one exists it is found with probability at least 2/3 per
     trial, provided no addition gate recurs within a single term (the
     builder above guarantees that for its circuits).  `degree` must bound
-    the degree of every monomial.
+    the degree of every monomial.  Raises MemoryError, before allocating,
+    when the 2^(degree + 2)-entry uint32 vectors of all variables and gates
+    would exceed exact.DEFAULT_MEMORY_CAP.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -515,9 +518,10 @@ def detect_multilinear(
     if degree >= 1 and (1 << max(ell - 2, 0)) < degree:
         raise ValueError(f"ell={ell} too small for degree {degree}: need ell >= log2(degree)+2")
     dim = degree + 2  # slack keeps the linear-independence probability >= 3/4
+    nvars = len(circuit.variables)
+    check_memory_budget((nvars + circuit.gate_count) * 4 * (1 << dim))
     _GFTables.get(ell)  # fail fast if ell is unsupported
     rng = random.Random(seed)
-    nvars = len(circuit.variables)
     for _ in range(max(1, trials)):
         values = [
             GroupAlgebraElement.variable_value(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -146,6 +147,61 @@ class TestShape:
             return
         with pytest.raises(ValueError, match="path instances"):
             build_aux_graph(inst, 1)
+
+
+def stored_arcs(aux):
+    """The arc list as an explicit construction writes it out: s arcs, then
+    each interval's heads by ascending end, each head once per label copy."""
+    arcs = [(SOURCE, (1, j), None) for j in range(1, aux.n + 1)]
+    for i in range(1, aux.n + 1):
+        for j in range(i, aux.n + 1):
+            w = aux.interval_winner[(i, j)]
+            labels = [None] if w == aux.p else [ArcLabel(w, c) for c in range(1, aux.k_star)]
+            heads = [(j + 1, r) for r in range(j + 1, aux.n + 1)] if j < aux.n else [SINK]
+            arcs.extend(((i, j), head, lab) for head in heads for lab in labels)
+    return arcs
+
+
+def dedup(seq):
+    return list(dict.fromkeys(seq))
+
+
+class TestClosedForm:
+    def test_neighbours_match_the_arc_list(self):
+        # The arcs property is built from successors(), so it is checked
+        # against an explicit construction first; neighbour lists are then
+        # the in-order dedup of that list, s, t and dead intervals included.
+        rng = random.Random(30)
+        dead_seen = 0
+        for n in range(1, 11):
+            for _ in range(3):
+                inst = random_instance(rng, graph_class="path", n=n, m=rng.randint(1, 4))
+                for rule in (LEX, TieBreakRule("prefer_p_then_lex")):
+                    for k_star in range(1, inst.k + 1):
+                        aux = build_aux_graph(inst, k_star, rule)
+                        arcs = aux.arcs
+                        assert isinstance(arcs, list) and arcs == stored_arcs(aux)
+                        for v in aux.vertices:
+                            assert aux.successors(v) == dedup(h for t, h, _ in arcs if t == v)
+                            assert aux.predecessors(v) == dedup(t for t, h, _ in arcs if h == v)
+                            dead_seen += v not in (SOURCE, SINK) and not aux.successors(v)
+        assert dead_seen > 50
+
+    def test_no_arcs_stored_on_a_long_path(self):
+        # Stored arcs would be about 4.35M tuples here (about 1 GB); the
+        # winner table and one neighbour list at a time stay small.
+        inst = random_instance(random.Random(31), graph_class="path", n=200, m=4, k=12)
+        tracemalloc.start()
+        try:
+            aux = build_aux_graph(inst, 5)
+            for i in range(1, aux.n + 1):
+                for j in range(i, aux.n + 1):
+                    aux.successors((i, j))
+                    aux.predecessors((i, j))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
 
 
 class TestDecode:

@@ -208,16 +208,29 @@ class TestSolve:
     def test_malformed_instance_is_a_one_line_error(self, tmp_path, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "gerrysolve", "solve", str(bad)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert_one_line_error("solve", str(bad))
+
+    def test_unaffordable_randfpt_target_is_a_one_line_error(self, tmp_path):
+        # k - k_star = 25 gives 2^27-entry vectors for 25 variables and
+        # each of the circuit's hundreds of gates: far past the memory cap,
+        # refused before allocating.
+        path, inst = write_instance(tmp_path, seed=5, n=30, m=26, k=27)
+        assert not target_ruled_out(inst, 2)
+        assert_one_line_error("solve", str(path), "--algo", "randfpt", "--k-star", "2")
+
+
+def assert_one_line_error(*argv):
+    """Run the CLI in a fresh interpreter: exit 2, one error line, no traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gerrysolve", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def write_json(tmp_path, obj):
@@ -288,7 +301,17 @@ class TestPickSolver:
         inst = generate_instance(rng, n=40, m=2, graph_class="path", weight_max=3, k=20)
         assert pick_solver(inst, 20) == "detfpt"
         assert pick_solver(inst, 18) == "detfpt"
-        assert pick_solver(inst, 2) == "oracle", "a loose target makes the DP estimate blow up"
+        assert pick_solver(inst, 2) == "detfpt", "C(39, 19) cuts are past the oracle's budget"
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_long_paths_never_go_to_a_large_oracle_scan(self, m):
+        # The DP estimate 4^6 * 40^3 exceeds the C(39, 9) = 2.1e8 cut count,
+        # but a scan that size takes hours; k_star = 4 is not ruled out.
+        inst = generate_instance(
+            random.Random(21), n=40, m=m, graph_class="path", weight_max=4, k=10
+        )
+        assert not target_ruled_out(inst, 4)
+        assert pick_solver(inst, 4) == "detfpt"
 
     def test_never_a_path_solver_off_paths(self):
         rng = random.Random(1)

@@ -289,6 +289,17 @@ class TestDetection:
         for seed in range(10):
             assert solve_target_rand(inst, 3, LEX, trials=8, seed=seed) is True
 
+    def test_unaffordable_degree_raises_before_allocating(self):
+        # degree 25: 25 variables and every gate would hold a 2^27-entry
+        # uint32 vector, 512 MiB each, past the 2 GiB cap.
+        inst = random_instance(random.Random(6), graph_class="path", n=30, m=26, k=27)
+        circuit = build_circuit(inst, 2, LEX)
+        assert circuit.gate_count > 100
+        with pytest.raises(MemoryError, match="exceeds the cap"):
+            detect_multilinear(circuit, 25)
+        with pytest.raises(MemoryError, match="exceeds the cap"):
+            solve_target_rand(inst, 2, LEX)
+
     def test_k_star_out_of_range_is_false(self):
         inst = make_instance(["p", "p"], ["p", "c"], k=2)
         assert solve_target_rand(inst, 3, LEX) is False
