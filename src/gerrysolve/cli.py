@@ -59,7 +59,7 @@ from .model import (
     satisfies_target,
 )
 from .oracle import GENERAL_VERTEX_CAP, solve_target_oracle
-from .randfpt import solve_target_rand
+from .randfpt import check_trials, solve_target_rand
 from . import reduction
 
 TIEBREAKS = {"lexmin": LEX_MIN, "preferp": PREFER_P}
@@ -150,8 +150,9 @@ def solve_targets(
     the plain question is the disjunction of the targets.  A target that
     target_ruled_out rejects is a no without running a solver, which spares
     auto the oracle scans it would pick for low targets on long paths.  The
-    path-only check runs before any target, so a skipped target cannot hide
-    a usage error.  Returns (None, None, algo) when every target is a no.
+    path-only check and the trials check (randfpt repetitions, at least 1)
+    run before any target, so a skipped target cannot hide a usage error.
+    Returns (None, None, algo) when every target is a no.
     pick_solver and run_target are looked up in this module's globals at
     call time, so wrappers installed on the module see every target.
     """
@@ -159,6 +160,7 @@ def solve_targets(
         raise ValueError(f"{algo} requires a path instance, got {inst.graph_class!r}")
     if k_star is not None and not (1 <= k_star <= inst.k):
         raise ValueError(f"k-star={k_star} outside 1..k={inst.k}")
+    check_trials(trials)
     for ks in [k_star] if k_star is not None else range(1, inst.k + 1):
         if target_ruled_out(inst, ks):
             continue
@@ -351,7 +353,10 @@ def run_difftest(
     every district count from 1 to n is swept as well.  Deterministic
     disagreements and randomized false positives are fatal; randomized
     misses on yes-instances are counted against the probability budget.
+    trials below 1 raise ValueError: the budget 3 * (1/3)**trials would
+    then tolerate every miss.
     """
+    check_trials(trials)
     rng = Random(seed)
     rep = DifftestReport(trials=trials)
     classes = tuple(DIFFTEST_CAPS)
@@ -543,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to the exact target count instead of looping 1..k",
     )
     p_solve.add_argument(
-        "--trials", type=int, default=8, help="randfpt repetitions (default: 8)"
+        "--trials", type=int, default=8, help="randfpt repetitions, at least 1 (default: 8)"
     )
     p_solve.add_argument(
         "--witness", action="store_true", help="print a winning partition when one exists"
@@ -580,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_diff.add_argument("--count", type=int, default=200, help="instances (default: 200)")
     p_diff.add_argument(
-        "--trials", type=int, default=5, help="randfpt repetitions (default: 5)"
+        "--trials", type=int, default=5, help="randfpt repetitions, at least 1 (default: 5)"
     )
     p_diff.set_defaults(func=cmd_difftest)
     return parser

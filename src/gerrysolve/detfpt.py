@@ -46,8 +46,12 @@ class DpTable:
     """Families of label-set bitmasks indexed by (i, r, vertex).
 
     Cells never computed are empty families.  `back` keeps one generator per
-    label set ever produced for a cell (pre-pruning), enough to rebuild a
-    witness walk from any stored set.
+    label set the cell keeps after pruning, and none for discarded sets.
+    That is enough to rebuild a witness walk from any stored set: a kept
+    set's generator is a set of the predecessor cell's stored family (the
+    sets merged into a cell come only from stored families), so by
+    induction on i every lookup _extract_witness makes is of a kept set,
+    down to the base cells, whose single set {0} is always kept.
     """
 
     def __init__(self, aux: AuxGraph, use_represent: bool = True, seed: int = 0):
@@ -121,9 +125,7 @@ def dp_step(table: DpTable, i: int, r: int, v: Vertex) -> Set[int]:
 
     if kept:
         table.families[(i, r, v)] = kept
-        existing = table.back.setdefault((i, r, v), {})
-        for mask in merged:
-            existing[mask] = back[mask]
+        table.back[(i, r, v)] = {mask: back[mask] for mask in kept}
     return kept
 
 

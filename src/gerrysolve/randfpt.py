@@ -494,6 +494,12 @@ def default_ell(degree: int) -> int:
     return ((degree - 1).bit_length() if degree >= 1 else 0) + 4
 
 
+def check_trials(trials: int) -> None:
+    """Raise ValueError unless at least one detection trial is asked for."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def detect_multilinear(
     circuit: Circuit,
     degree: int,
@@ -509,20 +515,26 @@ def detect_multilinear(
     builder above guarantees that for its circuits).  `degree` must bound
     the degree of every monomial.  Raises MemoryError, before allocating,
     when the 2^(degree + 2)-entry uint32 vectors of all variables and gates
-    would exceed exact.DEFAULT_MEMORY_CAP.
+    would exceed exact.DEFAULT_MEMORY_CAP.  A circuit whose output gate is
+    the constant 0 computes the zero polynomial, which has no multilinear
+    term, so it answers False before that check and before allocating.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    check_trials(trials)
     if ell is None:
         ell = default_ell(degree)
     if degree >= 1 and (1 << max(ell - 2, 0)) < degree:
         raise ValueError(f"ell={ell} too small for degree {degree}: need ell >= log2(degree)+2")
+    out = circuit.output
+    if out is not None and circuit.kinds[out] == "const" and circuit.args[out] == 0:
+        return False
     dim = degree + 2  # slack keeps the linear-independence probability >= 3/4
     nvars = len(circuit.variables)
     check_memory_budget((nvars + circuit.gate_count) * 4 * (1 << dim))
     _GFTables.get(ell)  # fail fast if ell is unsupported
     rng = random.Random(seed)
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         values = [
             GroupAlgebraElement.variable_value(
                 dim, ell, rng.randrange(1 << dim), rng.randrange(1 << ell)

@@ -218,6 +218,22 @@ class TestSolve:
         assert not target_ruled_out(inst, 2)
         assert_one_line_error("solve", str(path), "--algo", "randfpt", "--k-star", "2")
 
+    def test_constant_zero_randfpt_circuit_answers_no(self, tmp_path, capsys):
+        # `gen --seed 4` path: at k_star = 2 the circuit's output is the
+        # constant 0, so randfpt answers no instead of sizing 25 variable
+        # vectors of 2^27 entries against the memory cap
+        path, inst = write_instance(tmp_path, seed=4, n=30, m=26, k=27)
+        assert not target_ruled_out(inst, 2)
+        code = cli.main(["solve", str(path), "--algo", "randfpt", "--k-star", "2"])
+        assert code == 1
+        assert "answer: no" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_a_one_line_error(self, tmp_path, trials):
+        path, _ = write_instance(tmp_path)
+        assert_one_line_error("solve", str(path), "--trials", trials)
+        assert_one_line_error("difftest", "--count", "1", "--trials", trials)
+
 
 def assert_one_line_error(*argv):
     """Run the CLI in a fresh interpreter: exit 2, one error line, no traceback."""

@@ -150,6 +150,20 @@ class TestTableInvariants:
             for key, fam in pruned.families.items():
                 assert fam <= full.families.get(key, set()), key
 
+    def test_back_pointers_kept_only_for_kept_sets(self):
+        inst = random_instance(random.Random(0), graph_class="path", n=8, m=3, k=6)
+        k_star = 3
+        full = run_dp(inst, k_star, LEX, use_represent=False)
+        table = run_dp(inst, k_star, LEX, use_represent=True)
+        assert any(
+            len(fam) < len(full.families[key]) for key, fam in table.families.items()
+        ), "represent pruned no cell, so the test shows nothing"
+        assert set(table.back) == set(table.families)
+        for key, fam in table.families.items():
+            assert set(table.back[key]) == fam, key
+        found, witness = solve_target_det(inst, k_star, LEX)
+        assert found and satisfies_target(inst, witness, k_star, LEX)
+
 
 class TestFrozenExamples:
     def test_single_vertex_path(self):

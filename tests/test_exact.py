@@ -127,20 +127,19 @@ class TestPolynomials:
             got = {int(e): int(prod.coeffs[e]) for e in prod.exponents()}
             assert got == want
 
-    def test_oversized_coefficients_stay_exact(self):
-        # Coefficients near the 64-bit edge must dodge both the transform
-        # modulus and int64 convolution overflow.
-        big = 3_000_000_000
+    def test_oversized_coefficients_are_refused(self):
+        # Past the FFT's stated rounding bound the product raises instead of
+        # rounding to a wrong integer; well inside it, large coefficients
+        # still come out exact.
         p = SetPolynomial.zero(4)
         q = SetPolynomial.zero(4)
-        p.coeffs[[1, 2, 4]] = big
-        q.coeffs[[1, 8]] = big
+        p.coeffs[[1, 2, 4]] = 1 << 16
+        q.coeffs[[1, 8]] = 1 << 16
         prod = poly_multiply(p, q)
-        want = dict_multiply(p, q)
-        assert {int(e): int(prod.coeffs[e]) for e in prod.exponents()} == want
-        q.coeffs[1] = 1 << 33
-        p.coeffs[1] = 1 << 33
-        with pytest.raises(OverflowError):
+        assert {int(e): int(prod.coeffs[e]) for e in prod.exponents()} == dict_multiply(p, q)
+        p.coeffs[[1, 2, 4]] = 3_000_000_000
+        q.coeffs[[1, 8]] = 3_000_000_000
+        with pytest.raises(ValueError):
             poly_multiply(p, q)
 
     def test_ntt_matches_numpy_convolve(self):
@@ -150,6 +149,21 @@ class TestPolynomials:
             b = rng.integers(0, 64, size=int(rng.integers(1, 900)))
             got = exact._ntt_convolve(a.astype(np.int64), b.astype(np.int64))
             assert np.array_equal(got, np.convolve(a, b))
+
+    def test_all_ones_product_is_the_triangle_sequence(self):
+        ones = np.ones(1 << 20, dtype=np.int64)
+        got = exact._ntt_convolve(ones, ones)
+        idx = np.arange(got.size)
+        assert np.array_equal(got, np.minimum(idx + 1, got.size - idx))
+        assert got.max() == 1 << 20
+
+    @pytest.mark.parametrize("bits", [13, 14])
+    def test_dense_zero_one_products_match_numpy_convolve(self, bits):
+        # the dense operand sizes the graph_exact benchmark reaches
+        rng = np.random.default_rng(bits)
+        a = rng.integers(0, 2, size=1 << bits, dtype=np.int64)
+        b = rng.integers(0, 2, size=1 << bits, dtype=np.int64)
+        assert np.array_equal(exact._ntt_convolve(a, b), np.convolve(a, b))
 
     def test_disjoint_sets_add_without_carries(self):
         rng = random.Random(5)

@@ -271,6 +271,23 @@ class TestDetection:
         with pytest.raises(ValueError):
             detect_multilinear(circuit, -1)
 
+    def test_trials_below_one_rejected(self):
+        def wire(c):
+            c.output = c.times(c.var(0), c.var(1))
+
+        circuit = self.manual_circuit(wire)
+        for trials in (0, -3):
+            with pytest.raises(ValueError, match="trials"):
+                detect_multilinear(circuit, 2, trials=trials)
+
+    def test_constant_zero_output_is_false_before_the_memory_check(self):
+        # degree 26 would need 1 GiB per vector, past the memory cap; the
+        # zero polynomial has no multilinear term, so nothing is sized
+        def wire(c):
+            c.output = c.const(0)
+
+        assert detect_multilinear(self.manual_circuit(wire), 26) is False
+
     def test_even_path_count_still_detected(self):
         # two all-p partitions of a 3-path into 2 districts give a constant
         # polynomial whose two terms would cancel mod 2 without the wire
