@@ -138,19 +138,19 @@ def build_aux_graph(
         raise ValueError(f"k_star={k_star} outside 1..k={inst.k}")
     n = inst.n
 
-    # prefix[c][j] = total weight for candidate c over path vertices 1..j (1-based)
-    prefix = [[0] * (n + 1) for _ in range(inst.m)]
-    for v in range(1, n + 1):
-        wmap = inst.weights[v - 1]
-        for c in range(inst.m):
-            prefix[c][v] = prefix[c][v - 1] + wmap.get(c, 0)
-
+    # Running totals: (i, j) is (i, j - 1) plus vertex j's weights.  A unique
+    # maximum needs no tie-break, so rule.pick runs only on ties.
     winner: Dict[Tuple[int, int], int] = {}
     for i in range(1, n + 1):
+        totals = [0] * inst.m
         for j in range(i, n + 1):
-            totals = {c: prefix[c][j] - prefix[c][i - 1] for c in range(inst.m)}
-            best = max(totals.values())
-            winner[(i, j)] = rule.pick([c for c, t in totals.items() if t == best], inst.p)
+            for c, w in inst.weights[j - 1].items():
+                totals[c] += w
+            best = max(totals)
+            if totals.count(best) == 1:
+                winner[(i, j)] = totals.index(best)
+            else:
+                winner[(i, j)] = rule.pick([c for c, t in enumerate(totals) if t == best], inst.p)
 
     return AuxGraph(n=n, k=inst.k, k_star=k_star, p=inst.p, m=inst.m, interval_winner=winner)
 

@@ -120,13 +120,6 @@ class SetPolynomial:
         """Forget multiplicities: clamp every coefficient to 0 or 1."""
         return SetPolynomial(self.n_bits, np.minimum(self.coeffs, 1))
 
-    def weight_bucket(self, h: int) -> np.ndarray:
-        """Exponents present in the polynomial whose popcount equals h."""
-        exps = self.exponents()
-        if exps.size == 0:
-            return _EMPTY
-        return exps[_popcounts(self.n_bits)[exps] == h]
-
 
 def hamming_projection(poly: SetPolynomial, h: int) -> SetPolynomial:
     """Keep only the terms whose exponent has exactly h set bits."""

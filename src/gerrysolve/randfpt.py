@@ -5,8 +5,10 @@ labeled arc copy a formal variable and let psi[i, r, v] be the sum, over all
 s-to-v walks counted by that DP cell, of the product of the variables on the
 walk's labeled arcs.  The recursion mirrors the DP: unlabeled predecessors
 pass their polynomial through, rival predecessors multiply theirs by the sum
-of that rival's copy variables.  Built as a circuit (fan-in-2 product gates,
-memoized by cell) the output polynomial for cell (k+1, k_star+1, t) has a
+of that rival's copy variables.  psi[i, r, (a, b)] does not depend on b, so
+cells are memoized by (i, r, prefix end a - 1) as in detfpt, with t at
+prefix end n.  Built as a circuit (fan-in-2 product gates, one sum per
+cell) the output polynomial for cell (k+1, k_star+1, t) has a
 multilinear term in its sum-product expansion exactly when some walk hands
 out k - k_star pairwise distinct labels, i.e. exactly when the target
 question is a yes.
@@ -50,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .auxgraph import SINK, SOURCE, ArcLabel, AuxGraph, build_aux_graph
+from .auxgraph import ArcLabel, AuxGraph, build_aux_graph
 from .exact import check_memory_budget
 from .model import DEFAULT_RULE, Instance, TieBreakRule
 
@@ -160,30 +162,26 @@ def build_circuit(inst: Instance, k_star: int, rule: TieBreakRule = DEFAULT_RULE
             block_cache[key] = circuit.plus_gate(ids)
         return block_cache[key]
 
-    base_heads = set(aux.successors(SOURCE))
-    memo: Dict[Tuple[int, int, object], int] = {}
+    memo: Dict[Tuple[int, int, int], int] = {}
 
-    def psi(i: int, r: int, v: object) -> int:
+    def psi(i: int, r: int, e: int) -> int:
+        """Cell polynomial of the walks into every (e + 1, b), or into t if e = n."""
         if r < 1 or r > min(i, aux.k_star + 1):
             return zero
         if i == 1:
-            return one if (r == 1 and v in base_heads) else zero
-        key = (i, r, v)
+            return one if (r == 1 and e == 0) else zero
+        key = (i, r, e)
         if key in memo:
             return memo[key]
         terms: List[int] = []
-        for w in aux.predecessors(v):
-            if w == SOURCE:
-                continue
-            winner = aux.interval_winner[w]
+        for h in range(1, e + 1):
+            winner = aux.interval_winner[(h, e)]
             if winner == aux.p:
-                g = psi(i - 1, r - 1, w)
+                g = psi(i - 1, r - 1, h - 1)
                 if g != zero:
                     terms.append(g)
-            else:
-                if aux.k_star < 2:
-                    continue  # no copy variables exist, the product is zero
-                g = psi(i - 1, r, w)
+            elif aux.k_star >= 2:  # else no copy variables exist: the product is zero
+                g = psi(i - 1, r, h - 1)
                 if g == zero:
                     continue
                 block = label_block(winner, i)
@@ -192,7 +190,7 @@ def build_circuit(inst: Instance, k_star: int, rule: TieBreakRule = DEFAULT_RULE
         memo[key] = gate
         return gate
 
-    circuit.output = psi(aux.k + 1, aux.k_star + 1, SINK)
+    circuit.output = psi(aux.k + 1, aux.k_star + 1, aux.n)
     circuit.validate()
     return circuit
 

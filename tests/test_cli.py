@@ -255,6 +255,56 @@ def write_json(tmp_path, obj):
     return path
 
 
+FUZZ_VALUES = [None, True, False, 2**70, -(2**70), 0, -1, 1.5, "", "p", [], {}, [0, 1]]
+FUZZ_EDGES = [[0, 0], [0, 99], [-1, 2], [3], [0, 1, 2], ["0", 1], [True, 1], [2**70, 1]]
+
+
+def mutate(rng, obj):
+    """One random damage to a copy of an instance's JSON object: drop a
+    key, replace a value anywhere in the tree, or break an edge."""
+    obj = json.loads(json.dumps(obj))
+    slots = []
+
+    def collect(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            slots.append((node, key))
+            if isinstance(child, (dict, list)):
+                collect(child)
+
+    collect(obj)
+    node, key = rng.choice(slots)
+    roll = rng.random()
+    if roll < 0.2:
+        del node[key]
+    elif roll < 0.7:
+        node[key] = rng.choice(FUZZ_VALUES)
+    else:
+        edges = obj.get("edges")
+        if isinstance(edges, list) and edges and rng.random() < 0.3:
+            edges.pop(rng.randrange(len(edges)))
+        elif isinstance(edges, list):
+            edges.append(rng.choice(FUZZ_EDGES))
+    return obj
+
+
+class TestFuzz:
+    def test_mutated_instances_exit_cleanly(self, tmp_path, capsys):
+        path, _ = write_instance(tmp_path, seed=6, n=6, m=3, k=3)
+        base = json.loads(path.read_text(encoding="utf-8"))
+        rng = random.Random(9)
+        for idx in range(300):
+            obj = mutate(rng, base)
+            for _ in range(rng.randrange(3)):
+                obj = mutate(rng, obj)
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            for algo in cli.ALGOS:
+                code = cli.main(["solve", str(path), "--algo", algo, "--witness"])
+                out = capsys.readouterr()
+                assert code in (0, 1, 2), (idx, algo, obj)
+                assert "Traceback" not in out.out + out.err, (idx, algo, obj)
+
+
 class TestTargetLoop:
     def test_long_path_skips_ruled_out_targets_instead_of_scanning(
         self, tmp_path, capsys, monkeypatch

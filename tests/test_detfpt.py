@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from conftest import random_instance
-from gerrysolve.auxgraph import SINK, SOURCE, build_aux_graph
+from gerrysolve.auxgraph import SINK, SOURCE, ArcLabel, build_aux_graph
 from gerrysolve.detfpt import DpTable, run_dp, solve_target_det
 from gerrysolve.model import Instance, TieBreakRule, satisfies_target
 from gerrysolve.oracle import solve_target_oracle
@@ -62,6 +62,26 @@ class TestAgainstOracle:
                     assert satisfies_target(inst, witness, k_star, LEX)
         assert yes > 30
 
+    @pytest.mark.parametrize("rule", [LEX, PREF])
+    def test_wide_label_universes_every_target(self, rule):
+        # Universes of (m - 1)(k_star - 1) >= 9 labels, where the lowest-copy
+        # rule and represent both prune.
+        rng = random.Random(49)
+        wide_yes = 0
+        for _ in range(10):
+            inst = random_instance(
+                rng, graph_class="path", n=rng.randint(10, 12), m=rng.randint(4, 5),
+                k=rng.randint(6, 8),
+            )
+            for k_star in range(1, inst.k + 1):
+                expected = solve_target_oracle(inst, k_star, rule)[0]
+                got, witness = solve_target_det(inst, k_star, rule)
+                assert got == expected, (inst, k_star)
+                if got:
+                    assert satisfies_target(inst, witness, k_star, rule)
+                    wide_yes += (inst.m - 1) * (k_star - 1) >= 9
+        assert wide_yes > 0
+
     def test_prefer_p_rule(self):
         rng = random.Random(42)
         for _ in range(25):
@@ -112,11 +132,12 @@ class TestTableInvariants:
             inst = random_instance(rng, graph_class="path", n=rng.randint(1, 6))
             k_star = rng.randint(1, inst.k)
             table = run_dp(inst, k_star, LEX, use_represent=False)
-            aux = table.aux
-            expected = brute_families(aux, inst.k + 1)
-            keys = set(expected) | set(table.families)
-            for key in keys:
-                assert table.families.get(key, set()) == expected.get(key, set()), key
+            expected = brute_families(table.aux, inst.k + 1)
+            for (i, r, v), fam in expected.items():
+                assert table.family(i, r, v) == fam, (i, r, v)
+            for (i, r, e), fam in table.families.items():
+                v = SINK if e == inst.n else (e + 1, e + 1)
+                assert fam == expected.get((i, r, v), set()), (i, r, e)
 
     def test_set_cardinality_is_i_minus_r(self):
         rng = random.Random(46)
@@ -149,6 +170,36 @@ class TestTableInvariants:
             pruned = run_dp(inst, k_star, LEX, use_represent=True)
             for key, fam in pruned.families.items():
                 assert fam <= full.families.get(key, set()), key
+
+    def test_pruned_sets_hold_lowest_copies(self):
+        rng = random.Random(50)
+        later_copies = 0
+        for _ in range(20):
+            inst = random_instance(rng, graph_class="path", n=rng.randint(4, 9), m=3)
+            for k_star in range(3, inst.k + 1):
+                table = run_dp(inst, k_star, LEX, use_represent=True)
+                labels = table.aux.label_universe()
+                for key, fam in table.families.items():
+                    for mask in fam:
+                        held = {lab for idx, lab in enumerate(labels) if mask >> idx & 1}
+                        for lab in held:
+                            if lab.copy_index > 1:
+                                later_copies += 1
+                                below = ArcLabel(lab.candidate, lab.copy_index - 1)
+                                assert below in held, (key, sorted(held, key=repr))
+        assert later_copies > 0
+
+    def test_one_cell_per_layer_r_and_prefix_end(self):
+        rng = random.Random(51)
+        for _ in range(10):
+            inst = random_instance(
+                rng, graph_class="path", n=rng.randint(12, 16), m=3, k=rng.randint(3, 6)
+            )
+            for k_star in range(1, inst.k + 1):
+                for use_represent in (True, False):
+                    table = run_dp(inst, k_star, LEX, use_represent=use_represent)
+                    bound = (inst.k + 1) * (k_star + 1) * (inst.n + 1)
+                    assert len(table.families) <= bound, (inst.n, inst.k, k_star)
 
     def test_back_pointers_kept_only_for_kept_sets(self):
         inst = random_instance(random.Random(0), graph_class="path", n=8, m=3, k=6)

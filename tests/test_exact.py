@@ -97,15 +97,6 @@ class TestPolynomials:
             right = hamming_projection(poly.representative(), h)
             assert np.array_equal(left.coeffs, right.coeffs)
 
-    def test_weight_bucket_matches_projection(self):
-        rng = random.Random(2)
-        for _ in range(10):
-            poly = random_poly(rng, 7, terms=20)
-            for h in range(8):
-                assert np.array_equal(
-                    poly.weight_bucket(h), hamming_projection(poly, h).exponents()
-                )
-
     def test_multiply_examples(self):
         a = SetPolynomial.from_exponents(2, [1])
         b = SetPolynomial.from_exponents(2, [2])

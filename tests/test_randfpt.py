@@ -9,6 +9,7 @@ import pytest
 
 from conftest import find_st_paths, has_qualifying_path, random_instance
 from gerrysolve.auxgraph import ArcLabel, build_aux_graph
+from gerrysolve.cli import generate_instance
 from gerrysolve.model import Instance, TieBreakRule
 from gerrysolve.oracle import solve_target_oracle
 from gerrysolve.randfpt import (
@@ -111,6 +112,17 @@ class TestCircuitSemantics:
             circuit = build_circuit(inst, k_star, LEX)
             bound = 16 * inst.k**2 * inst.n**2 * max(k_star, 1) * inst.m
             assert circuit.gate_count <= bound
+
+    @pytest.mark.parametrize("k_star", [2, 3, 4])
+    def test_gates_scale_with_prefix_end_cells(self, k_star):
+        # Cells are memoized by (i, r, prefix end), so there are at most
+        # (k + 1)(k_star + 1)(n + 1) of them, each with one addition gate;
+        # on this instance the product gates add fewer than two per cell.
+        inst = generate_instance(
+            random.Random(21), n=40, m=4, graph_class="path", weight_max=4, k=10
+        )
+        cells = (inst.k + 1) * (k_star + 1) * (inst.n + 1)
+        assert build_circuit(inst, k_star, LEX).gate_count < 3 * cells
 
     def test_circuit_rejects_bad_manual_wiring(self):
         circuit = Circuit([ArcLabel(1, 1)])
