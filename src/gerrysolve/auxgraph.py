@@ -16,7 +16,8 @@ unlabeled copy, otherwise the arc is duplicated into k_star - 1 parallel
 copies labeled (winner, 1) .. (winner, k_star - 1).  An interval is live
 (has outgoing arcs) when p wins it or k_star >= 2.  So the tails of (i, j)
 are s when i = 1 and otherwise the live (h, i-1) for ascending h, and the
-tails of t are the live (h, n).
+tails of t are the live (h, n); detfpt and randfpt loop over these tails
+themselves.
 
 The payoff is a reformulation of the target question: the path instance has a
 partition where p wins exactly k_star districts and every rival at most
@@ -63,7 +64,7 @@ Arc = Tuple[Vertex, Vertex, Optional[ArcLabel]]
 class AuxGraph:
     """The layered interval DAG for one (instance, k_star) pair.
 
-    Only the winner table is stored; neighbours and arcs are computed from
+    Only the winner table is stored; successors and arcs are computed from
     the closed form, in closed-form order: tails by (start, end), heads by
     ascending end, labeled copies by ascending copy index.
     """
@@ -98,15 +99,6 @@ class AuxGraph:
         if v[1] == self.n:
             return [SINK]
         return [(v[1] + 1, r) for r in range(v[1] + 1, self.n + 1)]
-
-    def predecessors(self, v: Vertex) -> List[Vertex]:
-        """Distinct arc tails into v (parallel labeled copies collapsed)."""
-        if v == SOURCE:
-            return []
-        end = self.n if v == SINK else v[0] - 1
-        if end == 0:
-            return [SOURCE]
-        return [(h, end) for h in range(1, end + 1) if self._live((h, end))]
 
     @property
     def arcs(self) -> List[Arc]:

@@ -20,6 +20,9 @@ existing collections by one district of that rival, reading the tables as
 they stood before the round so a single round can never chain two new
 districts together.
 
+Districts come from numpy passes over vertex masks (reach closure, subset
+sums, argmax in tie-break order); enumerate_districts gives the argument.
+
 Products are computed sparsely (pairwise sums of exponent lists) when the
 operand supports are small, and otherwise as one dense product through
 numpy's real FFT, rounded back to integers.  Both routes produce identical
@@ -35,15 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import (
-    DEFAULT_RULE,
-    Instance,
-    TieBreakRule,
-    adjacency_masks,
-    district_winner,
-    mask_vertices,
-)
-from .oracle import connected_subsets_with_seed
+from .model import DEFAULT_RULE, Instance, TieBreakRule, adjacency_masks
 
 VERTEX_CAP = 22
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
@@ -191,43 +186,78 @@ def poly_multiply(p: SetPolynomial, q: SetPolynomial) -> SetPolynomial:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistrictFamily:
     """Connected vertex sets bucketed by the candidate who wins them.
 
-    members[c] lists, as sorted bitmask integers, every connected subset
-    whose district winner is candidate c.  The buckets are disjoint and
-    together cover all connected subsets.
+    members[c] holds, as a sorted int64 array of bitmasks, every connected
+    subset whose district winner is candidate c.  The buckets are disjoint
+    and together cover all connected subsets.
     """
 
     n: int
-    members: Tuple[Tuple[int, ...], ...]
+    members: Tuple[np.ndarray, ...]
 
     def sets_for(self, candidate: int) -> Tuple[int, ...]:
-        return self.members[candidate]
+        return tuple(self.members[candidate].tolist())
 
     def size_buckets(self, candidate: int) -> Dict[int, np.ndarray]:
-        return _slice_by_popcount(np.asarray(self.members[candidate], dtype=np.int64), self.n)
+        return _slice_by_popcount(self.members[candidate], self.n)
 
     def total(self) -> int:
         return sum(len(bucket) for bucket in self.members)
 
 
+def _over_subsets(values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """out[mask] is ufunc folded over the rows values[v], v in mask, by doubling."""
+    out = np.zeros((1 << len(values),) + values.shape[1:], dtype=values.dtype)
+    for v, x in enumerate(values):
+        ufunc(out[: 1 << v], x, out=out[1 << v : 2 << v])
+    return out
+
+
 def enumerate_districts(
     inst: Instance, rule: TieBreakRule = DEFAULT_RULE, cap: int = VERTEX_CAP
 ) -> DistrictFamily:
-    """All connected subsets of the instance graph, keyed by their winner."""
+    """All connected subsets of the instance graph, keyed by their winner.
+
+    numpy passes over vertex masks, no Python call per mask.  reach starts at
+    each mask's lowest bit and grows one BFS layer per pass by
+    reach = mask & (reach | nbr[reach]), nbr[mask] being the OR of the
+    neighbour masks of mask's vertices; a nonzero mask is connected when its
+    final reach is the whole mask.  Totals, one column per candidate in
+    rule.order, are low[mask & low_bits] + high[mask >> n//2], subset sums over
+    each half of the vertices (Björklund, Husfeldt, Kaski & Koivisto, STOC
+    2007).  argmax keeps the first maximal column, the first maximiser in
+    rule.order, which is rule.pick of the tied set.  Totals are int64 when the
+    whole weight fits, else Python ints in an object array (2**70 weights are
+    valid input).  Scoring 2**n/4m masks at a time keeps the peak under the 104
+    bytes per mask of solve_target_exact's estimate (tracemalloc, complete
+    graphs, n=16, m=3-5: 25 with int64 totals, 47 near 2**70) plus the half
+    tables' m * 2**(ceil(n/2) + 1) entries, which that estimate also counts.
+    """
     if inst.n > cap:
         raise ValueError(f"district enumeration capped at {cap} vertices, got n={inst.n}")
-    adj_masks = adjacency_masks(inst.n, inst.edges)
-    full = (1 << inst.n) - 1
-    buckets: List[List[int]] = [[] for _ in range(inst.m)]
-    for v in range(inst.n):
-        pool = full & ~((1 << v) - 1)
-        for mask in connected_subsets_with_seed(adj_masks, pool, v):
-            winner = district_winner(inst, mask_vertices(mask), rule)
-            buckets[winner].append(mask)
-    return DistrictFamily(inst.n, tuple(tuple(sorted(b)) for b in buckets))
+    n = inst.n
+    nbr = _over_subsets(np.array(adjacency_masks(n, inst.edges), dtype=np.int32), np.bitwise_or)
+    masks = np.arange(1 << n, dtype=np.int32)
+    reach = masks & -masks
+    while not np.array_equal(grown := (nbr[reach] | reach) & masks, reach):
+        reach = grown
+    connected = np.flatnonzero(reach == masks)[1:]
+    del nbr, masks, reach, grown
+    order = rule.order(range(inst.m), inst.p)
+    table = np.array([[inst.weight(v, c) for c in order] for v in range(n)], dtype=object)
+    table = table.astype(np.int64 if table.sum() <= np.iinfo(np.int64).max else object)
+    half = n // 2
+    low, high = _over_subsets(table[:half], np.add), _over_subsets(table[half:], np.add)
+    first = np.empty(connected.size, dtype=np.intp)
+    step = max(1, (1 << n) // (4 * inst.m))
+    for start in range(0, connected.size, step):
+        part = connected[start : start + step]
+        totals = low[part & ((1 << half) - 1)] + high[part >> half]
+        first[start : start + step] = np.argmax(totals, axis=1)
+    return DistrictFamily(n, tuple(connected[first == order.index(c)] for c in range(inst.m)))
 
 
 def _slice_by_popcount(exps: np.ndarray, n: int) -> Dict[int, np.ndarray]:
@@ -325,7 +355,7 @@ def build_Q1(
     k_star = 1 the table is empty; the solver then seeds its base table from
     the single-district family directly.
     """
-    p_slices = _slice_by_popcount(np.asarray(families.sets_for(p), dtype=np.int64), n)
+    p_slices = families.size_buckets(p)
     chain = _q1_chain(p_slices, k_star, n)
     table: Dict[int, Dict[int, SetPolynomial]] = {}
     for j, level in enumerate(chain, start=1):
@@ -384,8 +414,9 @@ def solve_target_exact(
         raise ValueError(f"k_star={k_star} outside 1..k={inst.k}")
     if inst.n > VERTEX_CAP:
         raise ValueError(f"exact solver capped at {VERTEX_CAP} vertices, got n={inst.n}")
+    # 12 + spare + 1 words per mask, 6 per half-table entry (enumerate_districts).
     transform_words = 6 * (1 << (inst.n + 1))
-    table_words = (inst.k - k_star + 1) * (1 << inst.n)
+    table_words = (inst.k - k_star + 1) * (1 << inst.n) + 6 * inst.m * (2 << (inst.n + 1) // 2)
     check_memory_budget(8 * (transform_words + table_words), memory_cap)
 
     n, k = inst.n, inst.k

@@ -53,6 +53,13 @@ class TieBreakRule:
             return p
         return tied[0]
 
+    def order(self, candidates: Iterable[int], p: int) -> List[int]:
+        """The candidates, most preferred first: pick, then pick among the rest."""
+        rest, ranked = sorted(candidates), []
+        while rest:
+            ranked.append(rest.pop(rest.index(self.pick(rest, p))))
+        return ranked
+
 
 DEFAULT_RULE = TieBreakRule(LEX_MIN)
 

@@ -183,7 +183,6 @@ class TestClosedForm:
                         assert isinstance(arcs, list) and arcs == stored_arcs(aux)
                         for v in aux.vertices:
                             assert aux.successors(v) == dedup(h for t, h, _ in arcs if t == v)
-                            assert aux.predecessors(v) == dedup(t for t, h, _ in arcs if h == v)
                             dead_seen += v not in (SOURCE, SINK) and not aux.successors(v)
         assert dead_seen > 50
 
@@ -197,7 +196,6 @@ class TestClosedForm:
             for i in range(1, aux.n + 1):
                 for j in range(i, aux.n + 1):
                     aux.successors((i, j))
-                    aux.predecessors((i, j))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -3,7 +3,9 @@ differential agreement with the brute-force oracle on every graph class."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -195,6 +197,31 @@ def count_connected_subsets(inst):
     return total
 
 
+def brute_family(inst, rule):
+    """Winner buckets by testing every nonempty mask with the model's checks."""
+    buckets = [[] for _ in range(inst.m)]
+    for mask in range(1, 1 << inst.n):
+        verts = [v for v in range(inst.n) if (mask >> v) & 1]
+        if is_connected_subset(inst.adjacency, verts):
+            buckets[district_winner(inst, verts, rule)].append(mask)
+    return [tuple(b) for b in buckets]
+
+
+def general_instance(n, edges, rng, m=3):
+    """A general-class instance on the given edges, connected or not."""
+    inst = Instance(
+        n=n,
+        edges=tuple(edges),
+        graph_class="general",
+        candidates=tuple(f"c{i}" for i in range(m)),
+        p=rng.randrange(m),
+        k=1,
+        weights=tuple({rng.randrange(m): rng.randint(1, 3)} for _ in range(n)),
+    )
+    inst.validate()
+    return inst
+
+
 class TestEnumerateDistricts:
     def test_two_vertex_path(self):
         inst = make_path(["p", "c"], ["p", "c"], k=1)
@@ -245,6 +272,73 @@ class TestEnumerateDistricts:
         inst = random_instance(random.Random(8), n=6)
         with pytest.raises(ValueError):
             enumerate_districts(inst, cap=5)
+
+    @pytest.mark.parametrize("rule", [LEX, PREF], ids=["LEX", "PREF"])
+    def test_equals_brute_force_on_every_mask(self, rule):
+        rng = random.Random(41)
+        cases = []
+        for gclass in ("path", "tree", "general"):
+            for n in range(1, 13):
+                cases.append(random_instance(rng, graph_class=gclass, n=n, m=rng.randint(1, 5)))
+        cases += [
+            general_instance(5, [], rng),
+            general_instance(9, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7), (7, 5)], rng),
+        ]
+        heavy = random_instance(rng, graph_class="general", n=9, m=4)
+        weights = list(heavy.weights)
+        weights[3] = {0: 2**70, 2: 2**70}  # a tie far past int64
+        weights[6] = {1: 2**70 + 5}
+        cases.append(dataclasses.replace(heavy, weights=tuple(weights)))
+        # Whole weight 2**63 - 1 stays on int64, 2**63 takes the object route.
+        for whole in (2**63 - 1, 2**63):
+            inst = make_path(["p", "c", "p"], ["p", "c"], k=1)
+            inst.weights = ({0: 2**62}, {1: whole - 2**62 - 2}, {0: 1, 1: 1})
+            cases.append(inst)
+        for inst in cases:
+            fam = enumerate_districts(inst, rule)
+            assert [fam.sets_for(c) for c in range(inst.m)] == brute_family(inst, rule), inst
+
+    def test_sets_are_sorted_tuples_of_python_ints(self):
+        inst = random_instance(random.Random(42), graph_class="general", n=10, m=3)
+        fam = enumerate_districts(inst)
+        for c in range(inst.m):
+            sets = fam.sets_for(c)
+            assert type(sets) is tuple
+            assert all(type(mask) is int for mask in sets)
+            assert list(sets) == sorted(sets)
+
+    def test_no_python_call_per_district(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-district Python call")
+
+        monkeypatch.setattr(exact, "district_winner", forbidden, raising=False)
+        monkeypatch.setattr(exact, "connected_subsets_with_seed", forbidden, raising=False)
+        inst = random_instance(random.Random(43), graph_class="general", n=8, m=3)
+        assert enumerate_districts(inst).total() == count_connected_subsets(inst)
+
+    @pytest.mark.parametrize("scale", [1, 2**70], ids=["int64", "object"])
+    def test_peak_memory_per_mask(self, scale):
+        # enumerate_districts must fit in the 13 words (104 bytes) per mask
+        # that solve_target_exact's memory estimate gives it, on either
+        # dtype, on a complete graph where every mask is a district.
+        n, rng = 16, random.Random(44)
+        inst = Instance(
+            n=n,
+            edges=tuple((u, v) for u in range(n) for v in range(u + 1, n)),
+            graph_class="general",
+            candidates=("a", "b", "c"),
+            p=0,
+            k=2,
+            weights=tuple({c: rng.randint(1, 9) * scale + 1 for c in range(3)} for _ in range(n)),
+        )
+        tracemalloc.start()
+        try:
+            fam = enumerate_districts(inst, PREF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fam.total() == 2**n - 1
+        assert peak < 104 * 2**n, peak / 2**n
 
 
 def brute_q1_support(fam, p, j, n):

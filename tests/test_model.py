@@ -63,6 +63,25 @@ class TestTieBreak:
                 rule = TieBreakRule(name)
                 assert rule.pick(tuple(tied), p) == rule.pick(tuple(reversed(tied)), p)
 
+    @pytest.mark.parametrize("name", ["lex_min_candidate", "prefer_p_then_lex"])
+    def test_strict_sweep_in_order_lands_on_pick(self, name):
+        # exact.enumerate_districts visits candidates in `order` and replaces
+        # the running best only on a strict >; that must be pick's choice,
+        # and pick must keep its documented meaning.
+        rule = TieBreakRule(name)
+        rng = random.Random(12)
+        for _ in range(500):
+            m = rng.randint(1, 6)
+            p = rng.randrange(m)
+            totals = [rng.randint(0, 3) for _ in range(m)]
+            best, swept = -1, None
+            for c in rule.order(range(m), p):
+                if totals[c] > best:
+                    best, swept = totals[c], c
+            tied = [c for c in range(m) if totals[c] == max(totals)]
+            assert swept == rule.pick(tied, p)
+            assert swept == (p if name == "prefer_p_then_lex" and p in tied else min(tied))
+
 
 class TestDistrictWinner:
     def test_whole_graph_tie_goes_lex_min(self):
