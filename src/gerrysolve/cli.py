@@ -3,17 +3,17 @@
 Four subcommands share the instance JSON schema from the model module.
 
 solve loads an instance, walks the candidate target counts from 1 up to
-k, and answers as soon as one succeeds, since the distinguished candidate
-wins overall exactly when it wins exactly k_star districts for some
-k_star with everyone else held a notch lower.  solve_targets is that
+k, and answers at the first that succeeds, since the distinguished
+candidate wins overall exactly when it wins exactly k_star districts for
+some k_star with everyone else held a notch lower.  solve_targets is that
 loop, the only solve pipeline in the package; solve_wgm is the same loop
 for library callers, plus a witness when the exact solver said yes.  A
-target with k > m * k_star - (m - 1) is answered no without running a
-solver, because the m - 1 rivals held to k_star - 1 wins each cannot
-account for the remaining districts.  The per-target solver can be forced
-with --algo or left on auto, which weighs the enumeration oracle's
-cut-choice count against a fixed budget and the path DP's cost estimate
-and falls back to the subset-algebra solver off paths.
+target with k > m * k_star - (m - 1) is a no without a solver run: the
+m - 1 rivals held to k_star - 1 wins cannot take the other districts.
+The rest go out in runs of consecutive targets with one solver, and the
+oracle answers a run from one scan.  --algo forces the solver; auto
+weighs the oracle's cut-choice count against a fixed budget and the path
+DP's cost estimate and falls back to the subset-algebra solver off paths.
 
 gen emits a random instance, byte-identical for a given seed.  Trees come
 from random Pruefer sequences; general graphs add extra edges on top of a
@@ -39,7 +39,9 @@ import argparse
 import json
 import sys
 import time
+from bisect import insort
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from math import comb
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,11 +56,12 @@ from .model import (
     Instance,
     Partition,
     TieBreakRule,
+    _typed,
     instance_to_json,
     load_instance,
     satisfies_target,
 )
-from .oracle import GENERAL_VERTEX_CAP, solve_target_oracle
+from .oracle import GENERAL_VERTEX_CAP, first_target, solve_target_oracle
 from .randfpt import check_trials, solve_target_rand
 from . import reduction
 
@@ -106,22 +109,28 @@ def pick_solver(inst: Instance, k_star: int) -> str:
 
 def run_target(
     inst: Instance,
-    k_star: int,
+    targets: Sequence[int],
     solver: str,
     rule: TieBreakRule,
     seed: int = 0,
     trials: int = 8,
-) -> Tuple[bool, Optional[Partition]]:
-    """Run one solver on one target count; witness when the solver has one."""
+) -> Tuple[Optional[int], Optional[Partition]]:
+    """Smallest target in the run that is a yes and its witness, if the
+    solver has one; the oracle scans once, the others go target by target."""
     if solver == "oracle":
-        return solve_target_oracle(inst, k_star, rule)
-    if solver == "detfpt":
-        return solve_target_det(inst, k_star, rule, seed=seed)
-    if solver == "randfpt":
-        return solve_target_rand(inst, k_star, rule, trials=trials, seed=seed), None
-    if solver == "exact":
-        return solve_target_exact(inst, k_star, rule), None
-    raise ValueError(f"unknown solver {solver!r}")
+        return first_target(inst, targets, rule)
+    for ks in targets:
+        if solver == "detfpt":
+            found, part = solve_target_det(inst, ks, rule, seed=seed)
+        elif solver == "randfpt":
+            found, part = solve_target_rand(inst, ks, rule, trials=trials, seed=seed), None
+        elif solver == "exact":
+            found, part = solve_target_exact(inst, ks, rule), None
+        else:
+            raise ValueError(f"unknown solver {solver!r}")
+        if found:
+            return ks, part
+    return None, None
 
 
 def target_ruled_out(inst: Instance, k_star: int) -> bool:
@@ -150,24 +159,25 @@ def solve_targets(
     the plain question is the disjunction of the targets.  A target that
     target_ruled_out rejects is a no without running a solver, which spares
     auto the oracle scans it would pick for low targets on long paths.  The
-    path-only check and the trials check (randfpt repetitions, at least 1)
-    run before any target, so a skipped target cannot hide a usage error.
+    rest go to run_target in runs of consecutive targets with the same
+    solver, so a run on the oracle costs one scan.  The path-only and
+    trials checks run first, so a skipped target cannot hide a usage error.
     Returns (None, None, algo) when every target is a no.
     pick_solver and run_target are looked up in this module's globals at
-    call time, so wrappers installed on the module see every target.
+    call time, so wrappers installed on the module see every pick and run.
     """
     if algo in ("detfpt", "randfpt") and inst.graph_class != "path":
         raise ValueError(f"{algo} requires a path instance, got {inst.graph_class!r}")
     if k_star is not None and not (1 <= k_star <= inst.k):
         raise ValueError(f"k-star={k_star} outside 1..k={inst.k}")
     check_trials(trials)
-    for ks in [k_star] if k_star is not None else range(1, inst.k + 1):
-        if target_ruled_out(inst, ks):
-            continue
-        solver = pick_solver(inst, ks) if algo == "auto" else algo
-        found, part = run_target(inst, ks, solver, rule, seed=seed, trials=trials)
-        if found:
-            return ks, part, solver
+    targets = [k_star] if k_star is not None else range(1, inst.k + 1)
+    live = [ks for ks in targets if not target_ruled_out(inst, ks)]
+    runs = groupby(live, lambda ks: pick_solver(inst, ks) if algo == "auto" else algo)
+    for solver, run in runs:
+        found, part = run_target(inst, list(run), solver, rule, seed=seed, trials=trials)
+        if found is not None:
+            return found, part, solver
     return None, None, algo
 
 
@@ -187,7 +197,7 @@ def solve_wgm(
     if solver == "exact":
         witness_solver = pick_solver(inst, k_star)
         if witness_solver != "exact":
-            part = run_target(inst, k_star, witness_solver, rule)[1]
+            part = run_target(inst, [k_star], witness_solver, rule)[1]
     return True, part
 
 
@@ -200,8 +210,6 @@ def prufer_tree(rng: Random, n: int) -> List[Tuple[int, int]]:
     """Uniform random labeled tree decoded from a random Pruefer sequence."""
     if n == 1:
         return []
-    if n == 2:
-        return [(0, 1)]
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in seq:
@@ -214,14 +222,7 @@ def prufer_tree(rng: Random, n: int) -> List[Tuple[int, int]]:
         degree[x] -= 1
         if degree[x] == 1:
             # keep the pool sorted so decode order is deterministic
-            lo, hi = 0, len(leaves)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if leaves[mid] < x:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            leaves.insert(lo, x)
+            insort(leaves, x)
     u, v = leaves[0], leaves[1]
     edges.append((min(u, v), max(u, v)))
     return edges
@@ -481,11 +482,12 @@ def load_rainbow(path: str) -> reduction.RainbowMatchingInstance:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"not valid JSON: {exc}") from exc
-    missing = {"n", "colors", "k"} - set(obj)
+    missing = {"n", "colors", "k"} - set(_typed(obj, dict, "rainbow matching JSON"))
     if missing:
         raise ValueError(f"rainbow matching JSON missing keys: {sorted(missing)}")
+    colors = tuple(_typed(c, int, "edge color") for c in _typed(obj["colors"], list, "colors"))
     rm = reduction.RainbowMatchingInstance(
-        n=obj["n"], colors=tuple(obj["colors"]), k=obj["k"]
+        n=_typed(obj["n"], int, "n"), colors=colors, k=_typed(obj["k"], int, "k")
     )
     rm.validate()
     return rm

@@ -15,13 +15,13 @@ recursive_general
     assigned, and so on.  Each partition is produced exactly once.
 
 Both strategies are lazy generators, so callers can stop at the first
-witness.
+witness.  first_target, the one scan over them, answers a run of targets.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .model import (
     DEFAULT_RULE,
@@ -153,51 +153,49 @@ def enumerate_partitions(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _wins_profile(inst: Instance, part: Partition, rule: TieBreakRule) -> Dict[int, int]:
-    wins = {c: 0 for c in range(inst.m)}
-    for dist in part.districts:
-        wins[district_winner(inst, dist, rule)] += 1
-    return wins
+def first_target(
+    inst: Instance, targets: Iterable[int], rule: TieBreakRule = DEFAULT_RULE
+) -> Tuple[Optional[int], Optional[Partition]]:
+    """Smallest k_star in `targets` that a partition achieves, and the first such one.
+
+    A partition achieves k_star = p's win count when every rival wins at
+    most k_star - 1, so one score settles every target.  Keeping the first
+    partition at the smallest target achieved so far, then wanting only
+    smaller ones, gives the per-target loop's first yes and its witness,
+    since each per-target scan visits the same order.  The scan stops when
+    no wanted target is left; (None, None) when no target is achieved.
+    """
+    wanted = set(targets)
+    best: Optional[int] = None
+    witness: Optional[Partition] = None
+    for part in enumerate_partitions(inst):
+        wins = [0] * inst.m
+        for dist in part.districts:
+            wins[district_winner(inst, dist, rule)] += 1
+        wp = wins[inst.p]
+        if wp in wanted and all(w < wp for c, w in enumerate(wins) if c != inst.p):
+            best, witness = wp, part
+            wanted = {ks for ks in wanted if ks < wp}
+            if not wanted:
+                break
+    return best, witness
 
 
 def solve_target_oracle(
     inst: Instance, k_star: int, rule: TieBreakRule = DEFAULT_RULE
 ) -> Tuple[bool, Optional[Partition]]:
-    """Scan all partitions for one where p wins exactly k_star districts
-    and every other candidate wins at most k_star - 1."""
+    """Is there a partition where p wins exactly k_star districts and every
+    other candidate at most k_star - 1?  The first one found is the witness."""
     if not (1 <= k_star <= inst.k):
         raise ValueError(f"k_star={k_star} outside 1..k={inst.k}")
-    for part in enumerate_partitions(inst):
-        wins = _wins_profile(inst, part, rule)
-        if wins[inst.p] != k_star:
-            continue
-        if all(w <= k_star - 1 for c, w in wins.items() if c != inst.p):
-            return True, part
-    return False, None
+    achieved, part = first_target(inst, (k_star,), rule)
+    return achieved is not None, part
 
 
 def solve_wgm_oracle(
     inst: Instance, rule: TieBreakRule = DEFAULT_RULE
 ) -> Tuple[bool, Optional[Partition]]:
-    """Scan all partitions for one where p strictly beats every rival."""
-    for part in enumerate_partitions(inst):
-        wins = _wins_profile(inst, part, rule)
-        wp = wins[inst.p]
-        if all(w < wp for c, w in wins.items() if c != inst.p):
-            return True, part
-    return False, None
-
-
-def target_spectrum(inst: Instance, rule: TieBreakRule = DEFAULT_RULE) -> Set[int]:
-    """Every k_star value witnessed by some partition, from a single scan.
-
-    A partition witnesses k_star = (p's win count) whenever every rival stays
-    at or below that count minus one.
-    """
-    spectrum: Set[int] = set()
-    for part in enumerate_partitions(inst):
-        wins = _wins_profile(inst, part, rule)
-        wp = wins[inst.p]
-        if wp >= 1 and all(w <= wp - 1 for c, w in wins.items() if c != inst.p):
-            spectrum.add(wp)
-    return spectrum
+    """Is there a partition where p strictly beats every rival?  The witness
+    is the first partition at the smallest k_star achieved."""
+    achieved, part = first_target(inst, range(1, inst.k + 1), rule)
+    return achieved is not None, part

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gerrysolve import cli
+from gerrysolve import cli, oracle
 from gerrysolve.cli import (
     DifftestReport,
     generate_instance,
@@ -314,7 +314,7 @@ class TestTargetLoop:
         def no_oracle(*args, **kwargs):
             raise AssertionError("the oracle must not run on this instance")
 
-        monkeypatch.setattr(cli, "solve_target_oracle", no_oracle)
+        monkeypatch.setattr(cli, "first_target", no_oracle)
         voters = ["p" if i % 3 != 2 else "c" for i in range(40)]
         path = write_json(tmp_path, {
             "n": 40,
@@ -328,6 +328,22 @@ class TestTargetLoop:
         assert cli.main(["solve", str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["answer"], report["k_star"], report["algo"]) == ("yes", 6, "detfpt")
+
+    def test_a_no_scans_the_oracle_once(self, tmp_path, capsys, monkeypatch):
+        path, inst = write_instance(tmp_path, seed=1, n=7, m=3, k=5, graph_class="tree")
+        live = [ks for ks in range(1, inst.k + 1) if not target_ruled_out(inst, ks)]
+        assert len(live) >= 2 and {pick_solver(inst, ks) for ks in live} == {"oracle"}
+        scans = []
+        enumerate_partitions = oracle.enumerate_partitions
+
+        def counted(*args, **kwargs):
+            scans.append(args)
+            return enumerate_partitions(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "enumerate_partitions", counted)
+        assert cli.main(["solve", str(path)]) == 1
+        assert "answer: no" in capsys.readouterr().out
+        assert len(scans) == 1
 
     def test_ruled_out_targets_are_noes(self):
         rng = random.Random(23)
@@ -420,6 +436,20 @@ class TestReduceRainbow:
         assert cli.main(["reduce-rainbow", str(rm)]) == 2
         rm.write_text("{not json", encoding="utf-8")
         assert cli.main(["reduce-rainbow", str(rm)]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "5",
+        "null",
+        '{"n": 4, "colors": 5, "k": 5}',
+        '{"n": "4", "colors": [1, 2, 3], "k": 5}',
+        '{"n": 4, "colors": [true, 2, 3], "k": 5}',
+    ], ids=["bare-number", "null", "int-colors", "string-n", "bool-color"])
+    def test_malformed_fields_exit_two(self, tmp_path, capsys, text):
+        rm = tmp_path / "rm.json"
+        rm.write_text(text, encoding="utf-8")
+        assert cli.main(["reduce-rainbow", str(rm)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
 class TestDifftest:

@@ -17,11 +17,12 @@ from gerrysolve.model import (
     make_partition,
     validate_partition,
 )
+from gerrysolve.cli import target_ruled_out
 from gerrysolve.oracle import (
     enumerate_partitions,
+    first_target,
     solve_target_oracle,
     solve_wgm_oracle,
-    target_spectrum,
 )
 
 LEX = TieBreakRule("lex_min_candidate")
@@ -179,13 +180,35 @@ class TestSolvers:
                     _, strict = evaluate_partition(inst, witness, rule)
                     assert strict
 
-    def test_spectrum_matches_pointwise_solves(self):
-        rng = random.Random(16)
-        for _ in range(40):
-            inst = random_instance(rng, graph_class=rng.choice(["path", "general"]), n=rng.randint(1, 7))
-            spectrum = target_spectrum(inst, LEX)
+    def test_one_scan_gives_the_first_pointwise_yes(self):
+        # The smallest target that a per-target scan answers yes, with that
+        # scan's witness, whether or not the ruled-out targets are passed.
+        def first_pointwise_yes(inst, rule):
             for k_star in range(1, inst.k + 1):
-                assert (k_star in spectrum) == solve_target_oracle(inst, k_star, LEX)[0]
+                for part in enumerate_partitions(inst):
+                    wins, _ = evaluate_partition(inst, part, rule)
+                    if wins[inst.p] == k_star and all(
+                        w < k_star for c, w in wins.items() if c != inst.p
+                    ):
+                        return k_star, part
+            return None, None
+
+        rng = random.Random(16)
+        later_yes = 0
+        for gclass in ("path", "tree", "general"):
+            for _ in range(20):
+                inst = random_instance(rng, graph_class=gclass, n=rng.randint(1, 7))
+                live = [ks for ks in range(1, inst.k + 1) if not target_ruled_out(inst, ks)]
+                for rule in (LEX, PREF):
+                    want = first_pointwise_yes(inst, rule)
+                    for k_star in range(1, (want[0] or inst.k + 1)):
+                        assert not solve_target_oracle(inst, k_star, rule)[0]
+                    if want[0] is not None:
+                        assert solve_target_oracle(inst, want[0], rule) == (True, want[1])
+                    later_yes += (want[0] or 0) > 1
+                    assert first_target(inst, range(1, inst.k + 1), rule) == want, (inst, rule)
+                    assert first_target(inst, live, rule) == want, (inst, rule)
+        assert later_yes > 5  # the smallest yes is not always the first target
 
     def test_tie_break_rule_changes_answers(self):
         # One concrete instance where prefer-p flips a district to p.
