@@ -172,20 +172,3 @@ def decode_path(aux: AuxGraph, st_path: Iterable[Vertex]) -> Partition:
         raise ValueError("interval chain does not reach the end of the path")
     return make_partition(groups)
 
-
-def _vertex_str(v: Vertex) -> str:
-    if v == SOURCE or v == SINK:
-        return str(v)
-    return f"v({v[0]},{v[1]})"
-
-
-def dump_arcs(aux: AuxGraph) -> str:
-    """One line per arc, parallel copies included, in closed-form order.
-
-    Unlabeled arcs print `[-]`, labeled ones `[candidate,copy]`.
-    """
-    lines = []
-    for tail, head, lab in aux.arcs:
-        tag = "-" if lab is None else f"{lab.candidate},{lab.copy_index}"
-        lines.append(f"{_vertex_str(tail)} -> {_vertex_str(head)} [{tag}]")
-    return "\n".join(lines) + "\n"

@@ -160,8 +160,9 @@ def solve_targets(
     target_ruled_out rejects is a no without running a solver, which spares
     auto the oracle scans it would pick for low targets on long paths.  The
     rest go to run_target in runs of consecutive targets with the same
-    solver, so a run on the oracle costs one scan.  The path-only and
-    trials checks run first, so a skipped target cannot hide a usage error.
+    solver, so a run on the oracle costs one scan.  The path-only, forced
+    oracle budget and trials checks run first, so a skipped target cannot
+    hide a usage error and an unaffordable scan never starts.
     Returns (None, None, algo) when every target is a no.
     pick_solver and run_target are looked up in this module's globals at
     call time, so wrappers installed on the module see every pick and run.
@@ -170,6 +171,13 @@ def solve_targets(
         raise ValueError(f"{algo} requires a path instance, got {inst.graph_class!r}")
     if k_star is not None and not (1 <= k_star <= inst.k):
         raise ValueError(f"k-star={k_star} outside 1..k={inst.k}")
+    if algo == "oracle" and inst.graph_class in ("path", "tree"):
+        cuts = comb(inst.n - 1, inst.k - 1)
+        if cuts > ORACLE_CUT_BUDGET:
+            raise ValueError(
+                f"oracle refused: C({inst.n - 1}, {inst.k - 1}) = {cuts:,} cut choices "
+                f"exceed its budget of {ORACLE_CUT_BUDGET:,}"
+            )
     check_trials(trials)
     targets = [k_star] if k_star is not None else range(1, inst.k + 1)
     live = [ks for ks in targets if not target_ruled_out(inst, ks)]

@@ -66,7 +66,7 @@ def _enumerate_cut_edges(inst: Instance, k: int) -> Iterator[Partition]:
         cut_set = set(cut)
         kept = [i for i in all_idx if i not in cut_set]
         comps = _components_after_cuts(inst.n, edges, kept)
-        yield make_partition(comps).canonical()
+        yield make_partition(comps)
 
 
 def connected_subsets_with_seed(adj_masks: List[int], pool: int, seed: int) -> Iterator[int]:
@@ -119,12 +119,12 @@ def _enumerate_recursive(inst: Instance, k: int) -> Iterator[Partition]:
             if is_connected_mask(pool):
                 yield [pool]
             return
-        if bin(pool).count("1") < k_left:
+        if pool.bit_count() < k_left:
             return
         seed = (pool & -pool).bit_length() - 1
         for district in connected_subsets_with_seed(adj_masks, pool, seed):
             rest = pool & ~district
-            if bin(rest).count("1") < k_left - 1:
+            if rest.bit_count() < k_left - 1:
                 continue
             for tail in rec(rest, k_left - 1):
                 yield [district, *tail]

@@ -36,19 +36,19 @@ appears at most once per sum-product term.  The circuit below guarantees it
 by giving every DP layer its own label-sum gates; cell gates are layered by
 i, so no gate can recur along a single term.
 
-GF(2^ell) multiplication uses a full lookup table up to ell = 8 and log/exp
-tables beyond, over an irreducible modulus found by a built-in Rabin search
-rather than a trusted constant table.  Group-algebra vectors are numpy
-arrays indexed by group element; addition is elementwise xor and
-multiplication is xor-convolution, driven from the sparser operand's
-support.
+GF(2^ell) multiplication, for every ell in 1..16, goes through log/exp
+tables with a zero sentinel, so a scalar times a whole vector is two table
+gathers with no branch for zeros; the irreducible modulus comes from a
+built-in Rabin search rather than a trusted constant table.  Group-algebra
+values are plain uint32 arrays of length 2^D indexed by group element;
+addition is elementwise xor and multiplication is xor-convolution, driven
+from the sparser operand's support.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -262,6 +262,20 @@ def _poly_gcd(a: int, b: int) -> int:
     return a
 
 
+def _prime_factors(n: int) -> Set[int]:
+    """Distinct prime factors of n >= 1, by trial division."""
+    primes, d = set(), 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.add(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.add(n)
+    return primes
+
+
 def _is_irreducible(f: int) -> bool:
     """Rabin's irreducibility test for a binary polynomial f."""
     ell = f.bit_length() - 1
@@ -277,16 +291,7 @@ def _is_irreducible(f: int) -> bool:
 
     if x_to_power_2_to(ell) != x:
         return False
-    n, d, primes = ell, 2, set()
-    while d * d <= n:
-        if n % d == 0:
-            primes.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.add(n)
-    for p in primes:
+    for p in _prime_factors(ell):
         if _poly_gcd(f, x_to_power_2_to(ell // p) ^ x) != 1:
             return False
     return True
@@ -304,53 +309,34 @@ def find_irreducible(ell: int) -> int:
 
 
 class _GFTables:
-    """Lookup-table arithmetic for GF(2^ell), vectorized over numpy arrays."""
+    """Log/exp tables for GF(2^ell), vectorized over numpy arrays.
+
+    Zero gets the sentinel log 2 * order.  Nonzero logs are below order, so
+    a sum of two logs stays below 2 * order exactly when both factors are
+    nonzero, and `exp` is zero from 2 * order to its end at 4 * order.
+    exp[log[a] + log[b]] is therefore a * b for every a and b, and the view
+    exp[log[a]:] maps log[b] to a * b without an addition pass.
+    """
 
     _cache: Dict[int, "_GFTables"] = {}
 
     def __init__(self, ell: int):
         if not (1 <= ell <= 16):
             raise ValueError("ell supported in 1..16")
-        self.ell = ell
         self.size = 1 << ell
         self.modulus = find_irreducible(ell)
-        if ell <= 8:
-            table = np.zeros((self.size, self.size), dtype=np.uint16)
-            for a in range(self.size):
-                for b in range(a, self.size):
-                    v = _gf_mul_int(a, b, self.modulus)
-                    table[a, b] = v
-                    table[b, a] = v
-            self.mul_table: Optional[np.ndarray] = table
-            self.exp: Optional[np.ndarray] = None
-            self.log: Optional[np.ndarray] = None
-        else:
-            self.mul_table = None
-            order = self.size - 1
-            gen = self._find_generator(order)
-            exp = np.zeros(2 * order, dtype=np.uint32)
-            log = np.zeros(self.size, dtype=np.uint32)
-            cur = 1
-            for i in range(order):
-                exp[i] = cur
-                log[cur] = i
-                cur = _gf_mul_int(cur, gen, self.modulus)
-            exp[order:] = exp[:order]
-            self.exp = exp
-            self.log = log
+        order = self.size - 1
+        gen = self._find_generator(order)
+        self.exp = np.zeros(4 * order + 1, dtype=np.uint32)
+        self.log = np.full(self.size, 2 * order, dtype=np.uint32)
+        cur = 1
+        for i in range(order):
+            self.exp[i] = cur
+            self.log[cur] = i
+            cur = _gf_mul_int(cur, gen, self.modulus)
+        self.exp[order:2 * order] = self.exp[:order]
 
     def _find_generator(self, order: int) -> int:
-        factors = set()
-        n, d = order, 2
-        while d * d <= n:
-            if n % d == 0:
-                factors.add(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            factors.add(n)
-
         def power(base: int, e: int) -> int:
             out, b = 1, base
             while e:
@@ -360,7 +346,8 @@ class _GFTables:
                 e >>= 1
             return out
 
-        for cand in range(2, self.size):
+        factors = _prime_factors(order)
+        for cand in range(1, self.size):  # 1 generates GF(2)'s one-element group
             if all(power(cand, order // p) != 1 for p in factors):
                 return cand
         raise RuntimeError("no generator found, which cannot happen in a field")
@@ -372,117 +359,70 @@ class _GFTables:
         return cls._cache[ell]
 
     def scalar_times_vector(self, a: int, vec: np.ndarray) -> np.ndarray:
-        """a * vec elementwise over the field."""
-        if a == 0:
-            return np.zeros_like(vec)
-        if a == 1:
-            return vec.copy()
-        if self.mul_table is not None:
-            return self.mul_table[a, vec].astype(vec.dtype)
-        out = np.zeros_like(vec)
-        nz = vec != 0
-        out[nz] = self.exp[self.log[a] + self.log[vec[nz]]]
-        return out
-
-    def mul_scalars(self, a: int, b: int) -> int:
-        return _gf_mul_int(a, b, self.modulus)
+        """a * vec elementwise over the field, as a new uint32 array."""
+        return self.exp[self.log[a]:].take(self.log.take(vec))
 
 
 # ---------------------------------------------------------------------------
-# group algebra GF(2^ell)[Z_2^dim]
+# group algebra GF(2^ell)[Z_2^dim]: uint32 arrays of length 2^dim indexed by
+# group element, added by xor
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GroupAlgebraElement:
-    """A vector of GF(2^ell) coefficients indexed by Z_2^dim group elements."""
+def variable_value(dim: int, u: int, alpha: int) -> np.ndarray:
+    """alpha * (e_0 + e_u), the detection substitution for one variable."""
+    vec = np.zeros(1 << dim, dtype=np.uint32)
+    vec[0] ^= alpha
+    vec[u] ^= alpha
+    return vec
 
-    dim: int
-    ell: int
-    coeffs: np.ndarray
 
-    @classmethod
-    def zero(cls, dim: int, ell: int) -> "GroupAlgebraElement":
-        return cls(dim, ell, np.zeros(1 << dim, dtype=np.uint32))
-
-    @classmethod
-    def identity(cls, dim: int, ell: int) -> "GroupAlgebraElement":
-        coeffs = np.zeros(1 << dim, dtype=np.uint32)
-        coeffs[0] = 1
-        return cls(dim, ell, coeffs)
-
-    @classmethod
-    def variable_value(cls, dim: int, ell: int, u: int, alpha: int) -> "GroupAlgebraElement":
-        """alpha * (e_0 + e_u), the detection substitution for one variable."""
-        coeffs = np.zeros(1 << dim, dtype=np.uint32)
-        coeffs[0] ^= alpha
-        coeffs[u] ^= alpha
-        return cls(dim, ell, coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def add(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.dim, self.ell, self.coeffs ^ other.coeffs)
-
-    def scaled(self, a: int) -> "GroupAlgebraElement":
-        tables = _GFTables.get(self.ell)
-        return GroupAlgebraElement(self.dim, self.ell, tables.scalar_times_vector(a, self.coeffs))
-
-    def mul(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        """XOR-convolution, iterating over the sparser support."""
-        tables = _GFTables.get(self.ell)
-        a, b = self.coeffs, other.coeffs
-        if np.count_nonzero(a) > np.count_nonzero(b):
-            a, b = b, a
-        size = 1 << self.dim
-        out = np.zeros(size, dtype=np.uint32)
-        idx = np.arange(size)
-        for g in np.nonzero(a)[0]:
-            # idx ^ g is a permutation, so the fancy-indexed xor never
-            # touches one slot twice
-            out[idx ^ g] ^= tables.scalar_times_vector(int(a[g]), b)
-        return GroupAlgebraElement(self.dim, self.ell, out)
+def xor_convolve(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
+    """The group-algebra product of a and b, driven from the sparser support."""
+    tables = _GFTables.get(ell)
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    out = np.zeros_like(b)
+    idx = np.arange(len(b))
+    log_b = tables.log.take(b)
+    for g in np.nonzero(a)[0]:
+        # out[h] gains a[g] * b[h ^ g], read through the row exp[log a[g]:]
+        # as in scalar_times_vector
+        out ^= tables.exp[tables.log[a[g]]:].take(log_b.take(idx ^ g))
+    return out
 
 
 def evaluate_circuit(
     circuit: Circuit,
-    values: Sequence[GroupAlgebraElement],
+    values: Sequence[np.ndarray],
     dim: int,
     ell: int,
-    rng: Optional[random.Random] = None,
-) -> GroupAlgebraElement:
+    rng: random.Random,
+) -> np.ndarray:
     """Evaluate every gate in creation order under the given variable values.
 
-    When `rng` is given, each wire into an addition gate is scaled by a
-    fresh uniform GF(2^ell) coefficient drawn from it.  The coefficients
-    never create terms, so a polynomial with no multilinear term still
-    evaluates to zero; what they add is a distinct fingerprint per
-    sum-product term, so equal terms stop cancelling in pairs.
+    Each wire into an addition gate is scaled by a fresh uniform GF(2^ell)
+    coefficient drawn from `rng`, in child order.  The coefficients never
+    create terms, so a polynomial with no multilinear term still evaluates
+    to zero; what they add is a distinct fingerprint per sum-product term,
+    so equal terms stop cancelling in pairs.
     """
-    size = 1 << ell
     tables = _GFTables.get(ell)
-    out: List[GroupAlgebraElement] = []
+    out: List[np.ndarray] = []
     for kind, arg in zip(circuit.kinds, circuit.args):
         if kind == "const":
-            out.append(
-                GroupAlgebraElement.identity(dim, ell)
-                if arg
-                else GroupAlgebraElement.zero(dim, ell)
-            )
+            vec = np.zeros(1 << dim, dtype=np.uint32)
+            vec[0] = arg
         elif kind == "var":
-            out.append(values[arg])  # type: ignore[index]
+            vec = values[arg]  # type: ignore[index]
         elif kind == "plus":
-            acc = np.zeros(1 << dim, dtype=np.uint32)
+            vec = np.zeros(1 << dim, dtype=np.uint32)
             for child in arg:  # type: ignore[union-attr]
-                if rng is None:
-                    acc ^= out[child].coeffs
-                else:
-                    acc ^= tables.scalar_times_vector(rng.randrange(size), out[child].coeffs)
-            out.append(GroupAlgebraElement(dim, ell, acc))
+                vec ^= tables.scalar_times_vector(rng.randrange(tables.size), out[child])
         else:
             a, b = arg  # type: ignore[misc]
-            out.append(out[a].mul(out[b]))
+            vec = xor_convolve(out[a], out[b], ell)
+        out.append(vec)
     assert circuit.output is not None
     return out[circuit.output]
 
@@ -534,13 +474,10 @@ def detect_multilinear(
     rng = random.Random(seed)
     for _ in range(trials):
         values = [
-            GroupAlgebraElement.variable_value(
-                dim, ell, rng.randrange(1 << dim), rng.randrange(1 << ell)
-            )
+            variable_value(dim, rng.randrange(1 << dim), rng.randrange(1 << ell))
             for _ in range(nvars)
         ]
-        result = evaluate_circuit(circuit, values, dim, ell, rng=rng)
-        if not result.is_zero():
+        if evaluate_circuit(circuit, values, dim, ell, rng).any():
             return True
     return False
 
@@ -551,7 +488,6 @@ def solve_target_rand(
     rule: TieBreakRule = DEFAULT_RULE,
     trials: int = 3,
     seed: int = 0,
-    ell: Optional[int] = None,
 ) -> bool:
     """One-sided randomized decision for the exact-k_star question on a path.
 
@@ -566,8 +502,7 @@ def solve_target_rand(
         return False
     circuit = build_circuit(inst, k_star, rule)
     degree = inst.k - k_star
-    if ell is None:
-        # wire coefficients add roughly k + 2*degree to the Schwartz-Zippel
-        # degree, so scale the field size with k as well
-        ell = min(16, max(default_ell(degree), (inst.k + 2).bit_length() + 3))
+    # wire coefficients add roughly k + 2*degree to the Schwartz-Zippel
+    # degree, so scale the field size with k as well
+    ell = min(16, max(default_ell(degree), (inst.k + 2).bit_length() + 3))
     return detect_multilinear(circuit, degree, ell=ell, trials=trials, seed=seed)

@@ -42,7 +42,7 @@ def family_cardinality(family: Iterable[int]) -> int:
     """
     card: Optional[int] = None
     for mask in family:
-        c = bin(mask).count("1")
+        c = mask.bit_count()
         if card is None:
             card = c
         elif c != card:

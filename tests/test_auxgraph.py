@@ -16,7 +16,6 @@ from gerrysolve.auxgraph import (
     ArcLabel,
     build_aux_graph,
     decode_path,
-    dump_arcs,
 )
 from gerrysolve.model import Instance, TieBreakRule, validate_partition
 from gerrysolve.oracle import solve_target_oracle
@@ -260,28 +259,3 @@ class TestPathEquivalence:
                 aux = build_aux_graph(inst, k_star, rule)
                 assert has_qualifying_path(aux) == solve_target_oracle(inst, k_star, rule)[0]
 
-
-class TestDump:
-    def test_dump_frozen_single_candidate(self):
-        aux = build_aux_graph(single_candidate_path(2, 2), 1)
-        assert dump_arcs(aux) == (
-            "s -> v(1,1) [-]\n"
-            "s -> v(1,2) [-]\n"
-            "v(1,1) -> v(2,2) [-]\n"
-            "v(1,2) -> t [-]\n"
-            "v(2,2) -> t [-]\n"
-        )
-
-    def test_dump_shows_labels(self):
-        inst = Instance(
-            n=2,
-            edges=((0, 1),),
-            graph_class="path",
-            candidates=("a", "b"),
-            p=0,
-            k=2,
-            weights=({1: 2}, {1: 2}),
-        )
-        text = dump_arcs(build_aux_graph(inst, 2))
-        assert "v(1,1) -> v(2,2) [1,1]" in text
-        assert "v(2,2) -> t [1,1]" in text

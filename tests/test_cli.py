@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -217,6 +219,16 @@ class TestSolve:
         path, inst = write_instance(tmp_path, seed=5, n=30, m=26, k=27)
         assert not target_ruled_out(inst, 2)
         assert_one_line_error("solve", str(path), "--algo", "randfpt", "--k-star", "2")
+
+    @pytest.mark.parametrize("graph_class", ["path", "tree"])
+    def test_forced_oracle_past_its_budget_is_a_one_line_error(self, tmp_path, graph_class):
+        # C(119, 11) = 1.05e15 cut choices: the scan would never finish
+        path, inst = write_instance(tmp_path, seed=5, n=120, m=3, k=12, graph_class=graph_class)
+        assert math.comb(inst.n - 1, inst.k - 1) > cli.ORACLE_CUT_BUDGET
+        assert_one_line_error("solve", str(path), "--algo", "oracle")
+        start = time.perf_counter()
+        assert cli.main(["solve", str(path), "--algo", "oracle"]) == 2
+        assert time.perf_counter() - start < 1
 
     def test_constant_zero_randfpt_circuit_answers_no(self, tmp_path, capsys):
         # `gen --seed 4` path: at k_star = 2 the circuit's output is the

@@ -146,6 +146,19 @@ class TestEnumerationQuality:
             got = {canon(p) for p in enumerate_partitions(inst)}
             assert got == expected
 
+    def test_cut_edge_stream_is_canonical(self):
+        # components come out in order of their smallest vertex, so the
+        # cut-edge strategy needs no sorting pass
+        rng = random.Random(14)
+        seen = 0
+        for gclass in ("path", "tree"):
+            for _ in range(40):
+                inst = random_instance(rng, graph_class=gclass, n=rng.randint(1, 9))
+                for part in enumerate_partitions(inst, strategy="cut_edges"):
+                    assert part == part.canonical()
+                    seen += 1
+        assert seen > 500
+
     def test_cap_enforced(self):
         inst = random_instance(random.Random(13), graph_class="path", n=17, k=2)
         relabeled = Instance(**{**inst.__dict__, "graph_class": "general", "_adj": None})
