@@ -23,10 +23,10 @@ reduce-rainbow turns a rainbow matching question into a districting
 instance via the hardness gadget.
 
 difftest cross-checks every applicable solver on a stream of small random
-instances and reports per-solver timings.  Deterministic solvers must
-agree exactly.  The randomized solver must never answer yes on a no, and
-a missed yes is recorded as statistical noise unless the miss rate beats
-its probability bound by a factor of three.
+instances and reports per-solver timings, yes counts and answer digests.
+Deterministic solvers must agree exactly.  The randomized solver must never
+answer yes on a no, and a missed yes is recorded as statistical noise unless
+the miss rate beats its probability bound by a factor of three.
 
 Exit codes: 0 for yes (or success on gen, reduce-rainbow, and a clean
 difftest), 1 for no (or a difftest failure), 2 for any usage or input
@@ -293,8 +293,8 @@ class DifftestReport:
     disagreements: List[str] = field(default_factory=list)
     randfpt_yes_checks: int = 0
     randfpt_false_negatives: int = 0
-    calls: Dict[str, int] = field(default_factory=dict)
     seconds: Dict[str, float] = field(default_factory=dict)
+    answers: Dict[str, List[bool]] = field(default_factory=dict)  # per solver, in call order
 
     def false_negative_budget(self) -> float:
         """Highest tolerable miss rate: three times the per-check bound."""
@@ -309,11 +309,12 @@ class DifftestReport:
             return rate <= self.false_negative_budget()
         return True
 
-    def note(self, solver: str, dt: float) -> None:
-        self.calls[solver] = self.calls.get(solver, 0) + 1
+    def note(self, solver: str, dt: float, answer: bool) -> None:
         self.seconds[solver] = self.seconds.get(solver, 0.0) + dt
+        self.answers.setdefault(solver, []).append(bool(answer))
 
     def to_json(self) -> Dict[str, object]:
+        import hashlib  # here, not at the top: it maps OpenSSL, 3 MB that solve never needs
         return {
             "instances": self.instances,
             "checks": self.checks,
@@ -325,8 +326,12 @@ class DifftestReport:
                 "budget": self.false_negative_budget(),
             },
             "timings": {
-                solver: {"calls": self.calls[solver], "seconds": round(self.seconds[solver], 6)}
-                for solver in sorted(self.calls)
+                solver: {"calls": len(got), "seconds": round(self.seconds[solver], 6)}
+                for solver, got in sorted(self.answers.items())
+            },
+            "answers": {  # yes count, and sha256 of one 0/1 byte per answer in order
+                solver: {"yes": sum(got), "sha256": hashlib.sha256(bytes(got)).hexdigest()}
+                for solver, got in sorted(self.answers.items())
             },
             "ok": self.ok,
         }
@@ -341,11 +346,9 @@ class DifftestReport:
         ]
         for msg in self.disagreements[:20]:
             lines.append(f"  DISAGREE {msg}")
-        lines.append(f"{'solver':<10} {'calls':>8} {'seconds':>10}")
-        for solver in sorted(self.calls):
-            lines.append(
-                f"{solver:<10} {self.calls[solver]:>8} {self.seconds[solver]:>10.3f}"
-            )
+        lines.append(f"{'solver':<10} {'calls':>8} {'yes':>8} {'seconds':>10}")
+        for solver, got in sorted(self.answers.items()):
+            lines.append(f"{solver:<10} {len(got):>8} {sum(got):>8} {self.seconds[solver]:>10.3f}")
         lines.append("result: " + ("ok" if self.ok else "FAIL"))
         return "\n".join(lines)
 
@@ -374,7 +377,7 @@ def run_difftest(
     def timed(solver, fn, *args, **kwargs):
         start = time.perf_counter()
         out = fn(*args, **kwargs)
-        rep.note(solver, time.perf_counter() - start)
+        rep.note(solver, time.perf_counter() - start, out[0] if isinstance(out, tuple) else out)
         return out
 
     for idx in range(count):

@@ -23,18 +23,25 @@ districts together.
 Districts come from numpy passes over vertex masks (reach closure, subset
 sums, argmax in tie-break order); enumerate_districts gives the argument.
 
-Products are computed sparsely (pairwise sums of exponent lists) when the
-operand supports are small, and otherwise as one dense product through
-numpy's real FFT, rounded back to integers.  Both routes produce identical
-supports, and only support membership matters downstream.  Every operand is
-saturated to 0/1 first, which keeps the FFT's rounding error far below 1/2;
-_ntt_convolve states the bound and refuses inputs past it.
+Tables are flat sorted int64 arrays.  A step (_extend) pairs a table's sets
+of popcount s with the districts of at most n - s vertices in one numpy
+operation and keeps a pair when a & b == 0.  That is the projection above:
+a + b keeps popcount |a| + |b| exactly when no bit carries, and then
+a + b = a | b.  Large products go through numpy's real FFT, projected onto
+the union size; both routes give the same unions.  Operands are 0/1, which
+keeps the FFT's rounding error far below 1/2 (_ntt_convolve).
+
+The last table is only asked whether it holds full = 2**n - 1, so the last
+district is looked up, not multiplied in: full is the union of A and a
+disjoint district D exactly when D = full ^ A.  And as each district has a
+vertex, steps keep no union too large to leave one for each district to come.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,29 +50,16 @@ from .model import DEFAULT_RULE, Instance, TieBreakRule, adjacency_masks
 VERTEX_CAP = 22
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
 
-_PAIR_LIMIT = 1 << 18
+# Products of n-bit operands with more than _PAIR_LIMIT << n pairs go dense.
+# 64 keeps n = 12 at its former 2**18 pairs, and at n = 16 to 20, where a
+# dense product costs 100 to 150 * 2**n pair tests, it was within 30% of the
+# best of 32 to 512.  A pairwise step holds about _PAIR_CHUNK pairs, or one row.
+_PAIR_LIMIT = 64
+_PAIR_CHUNK = 1 << 18
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
 TraceHook = Callable[[str, Dict[str, object]], None]
-
-
-# --------------------------------------------------------------------------
-# popcount support
-# --------------------------------------------------------------------------
-
-_pc_cache: Dict[int, np.ndarray] = {}
-
-
-def _popcounts(n_bits: int) -> np.ndarray:
-    """Lookup table: popcount of every integer below 2**n_bits."""
-    table = _pc_cache.get(n_bits)
-    if table is None:
-        table = np.zeros(1, dtype=np.uint8)
-        for _ in range(n_bits):
-            table = np.concatenate([table, table + 1])
-        _pc_cache[n_bits] = table
-    return table
 
 
 # --------------------------------------------------------------------------
@@ -92,9 +86,7 @@ class SetPolynomial:
     @classmethod
     def from_exponents(cls, n_bits: int, exponents) -> "SetPolynomial":
         poly = cls.zero(n_bits)
-        exps = np.asarray(list(exponents), dtype=np.int64)
-        if exps.size:
-            np.add.at(poly.coeffs, exps, 1)
+        np.add.at(poly.coeffs, np.asarray(list(exponents), dtype=np.int64), 1)
         return poly
 
     def is_zero(self) -> bool:
@@ -201,9 +193,6 @@ class DistrictFamily:
     def sets_for(self, candidate: int) -> Tuple[int, ...]:
         return tuple(self.members[candidate].tolist())
 
-    def size_buckets(self, candidate: int) -> Dict[int, np.ndarray]:
-        return _slice_by_popcount(self.members[candidate], self.n)
-
     def total(self) -> int:
         return sum(len(bucket) for bucket in self.members)
 
@@ -225,27 +214,37 @@ def enumerate_districts(
     each mask's lowest bit and grows one BFS layer per pass by
     reach = mask & (reach | nbr[reach]), nbr[mask] being the OR of the
     neighbour masks of mask's vertices; a nonzero mask is connected when its
-    final reach is the whole mask.  Totals, one column per candidate in
-    rule.order, are low[mask & low_bits] + high[mask >> n//2], subset sums over
-    each half of the vertices (Björklund, Husfeldt, Kaski & Koivisto, STOC
-    2007).  argmax keeps the first maximal column, the first maximiser in
-    rule.order, which is rule.pick of the tied set.  Totals are int64 when the
-    whole weight fits, else Python ints in an object array (2**70 weights are
-    valid input).  Scoring 2**n/4m masks at a time keeps the peak under the 104
-    bytes per mask of solve_target_exact's estimate (tracemalloc, complete
-    graphs, n=16, m=3-5: 25 with int64 totals, 47 near 2**70) plus the half
-    tables' m * 2**(ceil(n/2) + 1) entries, which that estimate also counts.
+    final reach is the whole mask.  Passes cover every mask while a quarter
+    of them still grow, then only those that grew.  Totals, one column per
+    candidate in rule.order, are low[mask & low_bits] + high[mask >> n//2],
+    subset sums over each half of the vertices (Björklund, Husfeldt, Kaski &
+    Koivisto, STOC 2007).  argmax keeps the first maximal column, the first
+    maximiser in rule.order, which is rule.pick of the tied set.  Totals are
+    int64 when the whole weight fits, else Python ints in an object array
+    (2**70 weights are valid input).  Scoring 2**n/4m masks at a time keeps
+    the peak under the 104 bytes per mask of solve_target_exact's estimate
+    (tracemalloc, complete graphs, n=16, m=3-5: 25 with int64 totals, 47 near
+    2**70) plus the half tables' m * 2**(ceil(n/2) + 1) entries, which that
+    estimate also counts.
     """
     if inst.n > cap:
         raise ValueError(f"district enumeration capped at {cap} vertices, got n={inst.n}")
     n = inst.n
     nbr = _over_subsets(np.array(adjacency_masks(n, inst.edges), dtype=np.int32), np.bitwise_or)
     masks = np.arange(1 << n, dtype=np.int32)
-    reach = masks & -masks
-    while not np.array_equal(grown := (nbr[reach] | reach) & masks, reach):
+    reach, live = masks & -masks, masks
+    while 4 * live.size >= masks.size:
+        grown = (nbr[reach] | reach) & masks
+        live = masks[grown != reach]
         reach = grown
+    while live.size:
+        old = reach[live]
+        grown = (nbr[old] | old) & live
+        moved = grown != old
+        live = live[moved]
+        reach[live] = grown[moved]
     connected = np.flatnonzero(reach == masks)[1:]
-    del nbr, masks, reach, grown
+    del nbr, masks, reach, live, grown
     order = rule.order(range(inst.m), inst.p)
     table = np.array([[inst.weight(v, c) for c in order] for v in range(n)], dtype=object)
     table = table.astype(np.int64 if table.sum() <= np.iinfo(np.int64).max else object)
@@ -260,11 +259,18 @@ def enumerate_districts(
     return DistrictFamily(n, tuple(connected[first == order.index(c)] for c in range(inst.m)))
 
 
-def _slice_by_popcount(exps: np.ndarray, n: int) -> Dict[int, np.ndarray]:
-    if exps.size == 0:
-        return {}
+@lru_cache(maxsize=None)
+def _popcounts(n_bits: int) -> np.ndarray:
+    """Lookup table: popcount of every integer below 2**n_bits."""
+    return _over_subsets(np.ones(n_bits, dtype=np.uint8), np.add)
+
+
+def _by_popcount(exps: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """exps stably sorted by popcount, and ends[s] = #{popcount <= s}.  int32
+    holds every mask below 2**VERTEX_CAP at half the bytes pairwise products move."""
     pc = _popcounts(n)[exps]
-    return {int(s): np.unique(exps[pc == s]) for s in np.unique(pc)}
+    order = np.argsort(pc, kind="stable")
+    return exps[order].astype(np.int32), np.searchsorted(pc[order], np.arange(n + 1), side="right")
 
 
 # --------------------------------------------------------------------------
@@ -272,56 +278,54 @@ def _slice_by_popcount(exps: np.ndarray, n: int) -> Dict[int, np.ndarray]:
 # --------------------------------------------------------------------------
 
 
-def _disjoint_unions(a: np.ndarray, b: np.ndarray, target_pc: int, n: int) -> np.ndarray:
-    """Support of the popcount-filtered product of two exponent lists.
-
-    Both inputs must be popcount-pure (every exponent in a has one fixed
-    popcount, likewise for b) with popcounts summing to target_pc, so the
-    survivors are exactly the unions of disjoint pairs.  Small operand pairs
-    take the direct pairwise route; large ones go through the transform.
-    """
-    if a.size == 0 or b.size == 0:
-        return _EMPTY
-    if a.size * b.size <= _PAIR_LIMIT:
-        sums = (a[:, None] + b[None, :]).ravel()
-        keep = sums[_popcounts(n + 1)[sums] == target_pc]
-        return np.unique(keep)
-    dense_a = SetPolynomial.zero(n)
-    dense_a.coeffs[a] = 1
-    dense_b = SetPolynomial.zero(n)
-    dense_b.coeffs[b] = 1
-    product = hamming_projection(poly_multiply(dense_a, dense_b), target_pc)
-    exps = product.exponents()
-    return exps[exps < (1 << n)]
+def _mark_pairs(seen: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Set seen[x | y] for disjoint x in a, y in b, max(_PAIR_CHUNK, b.size) pairs a pass."""
+    rows = max(1, _PAIR_CHUNK // max(1, b.size))
+    for i in range(0, a.size, rows):
+        x, y = a[i : i + rows, None], b[None, :]
+        seen[(x | y)[(x & y) == 0]] = True
 
 
 def _extend(
-    olds: Dict[int, np.ndarray], news: Dict[int, np.ndarray], n: int
-) -> Dict[int, np.ndarray]:
-    """Unions of one old set with one disjoint new set, keyed by union size.
+    old: np.ndarray, family: Tuple[np.ndarray, np.ndarray], n: int, keep=_EMPTY, room=None
+) -> np.ndarray:
+    """keep and the unions of a set in old with a disjoint district of family.
 
-    Both arguments map a set size to the sorted exponents of that size, as
-    _slice_by_popcount returns them.  Sizes with no union are omitted.
+    family comes from _by_popcount; unions have at most room vertices (default
+    n).  old is grouped by popcount s, and a group meets the districts of at
+    most room - s vertices in one pairwise product, or with more than
+    _PAIR_LIMIT << n pairs one size at a time, densely where that size still
+    has that many.  A 2**n bitmap deduplicates; the result is sorted.
     """
-    grouped: Dict[int, List[np.ndarray]] = {}
-    for s_old, old in olds.items():
-        for s_new, new in news.items():
-            s = s_old + s_new
-            if s > n:
+    fam, ends = family
+    room = n if room is None else room
+    limit = _PAIR_LIMIT << n
+    seen = _bitmap(keep, n)
+    olds, old_ends = _by_popcount(old, n)
+    for s in range(1, room):
+        group = olds[old_ends[s - 1] : old_ends[s]]
+        if group.size * ends[room - s] <= limit:
+            _mark_pairs(seen, group, fam[: ends[room - s]])
+            continue
+        dense_old = SetPolynomial.zero(n)
+        dense_old.coeffs[group] = 1
+        for s_new in range(1, room - s + 1):
+            new = fam[ends[s_new - 1] : ends[s_new]]
+            if group.size * new.size <= limit:
+                _mark_pairs(seen, group, new)
                 continue
-            got = _disjoint_unions(new, old, s, n)
-            if got.size:
-                grouped.setdefault(s, []).append(got)
-    return {s: _union_all(parts) for s, parts in sorted(grouped.items())}
+            dense_new = SetPolynomial.zero(n)
+            dense_new.coeffs[new] = 1
+            low = poly_multiply(dense_old, dense_new).coeffs[: 1 << n]
+            seen |= (low != 0) & (_popcounts(n) == s + s_new)
+    return np.flatnonzero(seen)
 
 
-def _union_all(parts: Sequence[np.ndarray]) -> np.ndarray:
-    chunks = [p for p in parts if p.size]
-    if not chunks:
-        return _EMPTY
-    if len(chunks) == 1:
-        return chunks[0]
-    return np.unique(np.concatenate(chunks))
+def _bitmap(exps: np.ndarray, n: int) -> np.ndarray:
+    """Bool table over all 2**n masks, True exactly at exps."""
+    out = np.zeros(1 << n, dtype=bool)
+    out[exps] = True
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -329,18 +333,22 @@ def _union_all(parts: Sequence[np.ndarray]) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _q1_chain(p_slices: Dict[int, np.ndarray], k_star: int, n: int) -> List[Dict[int, np.ndarray]]:
-    """Unions of j+1 pairwise disjoint p-districts, for j = 1 .. k_star - 1.
+def _q1_chain(
+    members: np.ndarray, levels: int, n: int, rest: Optional[int] = None
+) -> List[np.ndarray]:
+    """Unions of j pairwise disjoint districts from members, j = 0 .. levels.
 
-    Entry j-1 of the result maps union size s to the sorted exponent list of
-    achievable unions.  Sizes with no achievable union are omitted.
+    Entry j is the sorted exponent array of those unions; members must be
+    sorted.  Given rest, entries from j = 2 on keep only the unions that leave
+    a vertex for each of the levels - j + rest districts still to come: the
+    others are part of no cover by k districts.
     """
-    chain: List[Dict[int, np.ndarray]] = []
-    prev = p_slices
-    for _ in range(k_star - 1):
-        prev = _extend(prev, p_slices, n)
-        chain.append(prev)
-    return chain
+    family = _by_popcount(members, n)
+    chain = [np.zeros(1, dtype=np.int64), members]
+    for j in range(2, levels + 1):
+        room = n if rest is None else n - (levels - j + rest)
+        chain.append(_extend(chain[-1], family, n, room=room))
+    return chain[: levels + 1]
 
 
 def build_Q1(
@@ -351,17 +359,13 @@ def build_Q1(
     Returns {j: {s: polynomial}} for j in 1..k_star-1, where the polynomial
     at (j, s) has a unit coefficient on y**t exactly when t encodes a union
     of j+1 pairwise disjoint districts won by p with |union| = s.  Pairs
-    (j, s) whose polynomial is zero are omitted from the inner dict.  For
-    k_star = 1 the table is empty; the solver then seeds its base table from
-    the single-district family directly.
+    (j, s) whose polynomial is zero are omitted; for k_star = 1 the table is
+    empty.
     """
-    p_slices = families.size_buckets(p)
-    chain = _q1_chain(p_slices, k_star, n)
     table: Dict[int, Dict[int, SetPolynomial]] = {}
-    for j, level in enumerate(chain, start=1):
-        table[j] = {
-            s: SetPolynomial.from_exponents(n, exps) for s, exps in level.items() if exps.size
-        }
+    for j, level in enumerate(_q1_chain(families.members[p], k_star, n)[2:], start=1):
+        pc = _popcounts(n)[level]
+        table[j] = {int(s): SetPolynomial.from_exponents(n, level[pc == s]) for s in np.unique(pc)}
     return table
 
 
@@ -390,11 +394,6 @@ def check_memory_budget(estimate: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> 
         )
 
 
-def _contains(sorted_exps: np.ndarray, value: int) -> bool:
-    pos = int(np.searchsorted(sorted_exps, value))
-    return pos < sorted_exps.size and int(sorted_exps[pos]) == value
-
-
 def solve_target_exact(
     inst: Instance,
     k_star: int,
@@ -408,62 +407,60 @@ def solve_target_exact(
     Works on any graph class up to the vertex cap.  The optional trace hook
     receives ("base", payload) once and ("update", payload) after each rival
     round; payloads carry copies of the exponent tables, indexed so that
-    entry h holds the collections of k_star + h districts.
+    entry h holds the collections of k_star + h districts.  Entry spare =
+    k - k_star is only ever asked whether it holds the full set, so it holds
+    [full] once that is reached, which ends the solve, and nothing before.
     """
     if not (1 <= k_star <= inst.k):
         raise ValueError(f"k_star={k_star} outside 1..k={inst.k}")
     if inst.n > VERTEX_CAP:
         raise ValueError(f"exact solver capped at {VERTEX_CAP} vertices, got n={inst.n}")
-    # 12 + spare + 1 words per mask, 6 per half-table entry (enumerate_districts).
-    transform_words = 6 * (1 << (inst.n + 1))
-    table_words = (inst.k - k_star + 1) * (1 << inst.n) + 6 * inst.m * (2 << (inst.n + 1) // 2)
-    check_memory_budget(8 * (transform_words + table_words), memory_cap)
-
+    # Words per mask: districts and popcount-sorted copies 3, tables spare + 1,
+    # a dense product 12 (enumerate_districts' peak, 13, comes before all of
+    # these), bitmaps 1/4, and 2 per pair of a pairwise step of at most
+    # max(_PAIR_CHUNK, 2**n) pairs.  Plus 6 per half-table entry.
     n, k = inst.n, inst.k
     spare = k - k_star
-    families = enumerate_districts(inst, rule)
-    slices = {c: families.size_buckets(c) for c in range(inst.m)}
+    words = (18 + spare) * (1 << n) + (1 << n) // 4 + 2 * _PAIR_CHUNK
+    check_memory_budget(8 * (words + 6 * inst.m * (2 << (n + 1) // 2)), memory_cap)
 
-    if k_star == 1:
-        base = _union_all(list(slices[inst.p].values()))
-    else:
-        chain = _q1_chain(slices[inst.p], k_star, n)
-        base = _union_all(list(chain[k_star - 2].values()))
-
-    tables: List[np.ndarray] = [base] + [_EMPTY] * spare
-    order = [c for c in range(inst.m) if c != inst.p]
-    if trace is not None:
-        trace(
-            "base",
-            {"k_star": k_star, "order": [inst.p] + order, "tables": [t.copy() for t in tables]},
-        )
-    if base.size == 0:
-        return False
     full = (1 << n) - 1
+    families = enumerate_districts(inst, rule)
+    p_members = families.members[inst.p]
+    order = [c for c in range(inst.m) if c != inst.p]
+
+    def emit(kind: str, **payload: object) -> None:
+        if trace is not None:
+            trace(kind, dict(payload, tables=[t.copy() for t in tables]))
+
     if spare == 0:
-        return _contains(tables[0], full)
+        # The last p-district is found by looking up complements.
+        built = _q1_chain(p_members, k_star - 1, n, rest=1)[-1]
+        tables = [np.array([full]) if _bitmap(p_members, n)[full ^ built].any() else _EMPTY]
+    else:
+        tables = [_q1_chain(p_members, k_star, n, rest=spare)[-1]] + [_EMPTY] * spare
+    emit("base", k_star=k_star, order=[inst.p] + order)
+    if spare == 0 or tables[0].size == 0:
+        return bool(tables[spare].size)
 
     for candidate in order:
-        c_slices = slices[candidate]
-        if not c_slices:
-            continue
+        members = families.members[candidate]
+        family, district = _by_popcount(members, n), _bitmap(members, n)
         for j in range(1, _j_iterations(k, k_star) + 1):
             # One round: extend the snapshot tables by a single district won
             # by this candidate.  Reading only the snapshot keeps any round
             # from chaining two of its own districts into one collection;
             # descending h reads tables[h - 1] before the round updates it.
-            changed = False
-            for h in range(spare, 0, -1):
-                grown = _extend(_slice_by_popcount(tables[h - 1], n), c_slices, n)
-                merged = _union_all([tables[h], *grown.values()])
-                if merged.size != tables[h].size:
-                    tables[h] = merged
-                    changed = True
-            if trace is not None:
-                trace(
-                    "update",
-                    {"candidate": candidate, "j": j, "tables": [t.copy() for t in tables]},
-                )
-            if not changed:
+            # Entry spare takes only the lookup; a round that changes no
+            # lower entry leaves the next one nothing new to look up.
+            if district[full ^ tables[spare - 1]].any():
+                tables[spare] = np.array([full])
+                emit("update", candidate=candidate, j=j)
+                return True
+            before = [t.size for t in tables]
+            for h in range(spare - 1, 0, -1):
+                tables[h] = _extend(tables[h - 1], family, n, tables[h], room=n - (spare - h))
+            emit("update", candidate=candidate, j=j)
+            if [t.size for t in tables] == before:
                 break
-    return _contains(tables[spare], full)
+    return False

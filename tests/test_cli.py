@@ -473,8 +473,8 @@ class TestDifftest:
         assert rep.checks >= 45
         assert rep.randfpt_yes_checks > 0
         assert rep.randfpt_false_negatives == 0
-        assert set(rep.calls) == {"oracle", "exact", "detfpt", "randfpt"}
-        assert rep.calls["oracle"] == rep.checks == rep.calls["exact"]
+        assert set(rep.answers) == {"oracle", "exact", "detfpt", "randfpt"}
+        assert len(rep.answers["oracle"]) == rep.checks == len(rep.answers["exact"])
 
     def test_cli_wrapper_and_json(self, capsys):
         assert cli.main(["difftest", "--count", "9", "--seed", "4", "--json"]) == 0
@@ -487,6 +487,19 @@ class TestDifftest:
         text = capsys.readouterr().out
         assert "result: ok" in text
         assert "solver" in text
+
+    def test_answer_counts_and_digests(self):
+        rep = run_difftest(count=30, seed=5, trials=5)
+        answers = rep.to_json()["answers"]
+        assert set(answers) == {"oracle", "exact", "detfpt", "randfpt"}
+        assert len(rep.answers["exact"]) == rep.checks
+        # exact agrees with the oracle on every check, so the digests match.
+        assert answers["exact"] == answers["oracle"]
+        assert answers["oracle"]["yes"] == sum(rep.answers["oracle"]) > 0
+        rep.answers["exact"][-1] = not rep.answers["exact"][-1]
+        assert rep.to_json()["answers"]["exact"]["sha256"] != answers["exact"]["sha256"]
+        row = next(line for line in rep.render().splitlines() if line.startswith("oracle"))
+        assert row.split()[:3] == ["oracle", str(rep.checks), str(answers["oracle"]["yes"])]
 
     def test_report_failure_conditions(self):
         rep = DifftestReport(trials=5)

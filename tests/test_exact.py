@@ -400,6 +400,65 @@ class TestBuildQ1:
                 assert got == want
 
 
+def brute_unions(old, family, room, keep=()):
+    """keep plus every union of a disjoint pair from old x family of <= room vertices."""
+    out = set(keep)
+    for a in old:
+        for b in family:
+            if a & b == 0 and bin(a | b).count("1") <= room:
+                out.add(a | b)
+    return sorted(out)
+
+
+class TestExtend:
+    @pytest.mark.parametrize(
+        "limit, chunk", [(None, None), (0, None), (None, 5)], ids=["default", "dense", "chunked"]
+    )
+    def test_equals_brute_force_disjoint_unions(self, monkeypatch, limit, chunk):
+        if limit is not None:
+            monkeypatch.setattr(exact, "_PAIR_LIMIT", limit)
+        if chunk is not None:
+            monkeypatch.setattr(exact, "_PAIR_CHUNK", chunk)
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            old = sorted(rng.sample(range(1, 1 << n), rng.randint(0, min(40, (1 << n) - 1))))
+            fam = sorted(rng.sample(range(1, 1 << n), rng.randint(0, min(60, (1 << n) - 1))))
+            keep = sorted(rng.sample(range(1, 1 << n), rng.randint(0, min(3, (1 << n) - 1))))
+            room = rng.randint(1, n)
+            family = exact._by_popcount(np.array(fam, dtype=np.int64), n)
+            got = exact._extend(np.array(old, dtype=np.int64), family, n)
+            assert got.tolist() == brute_unions(old, fam, n)
+            got = exact._extend(
+                np.array(old, dtype=np.int64), family, n, np.array(keep, dtype=np.int64), room=room
+            )
+            assert got.tolist() == brute_unions(old, fam, room, keep)
+            checked += len(got)
+        assert checked > 500
+
+    def test_spare_zero_makes_k_star_minus_two_products(self, monkeypatch):
+        # With k_star = k the last p-district is looked up by complement, so
+        # the Q1 chain stops one product short of the full table.
+        calls = []
+        extend = exact._extend
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return extend(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "_extend", counting)
+        rng = random.Random(32)
+        yes_seen = 0
+        for _ in range(20):
+            k = rng.randint(3, 5)
+            inst = random_instance(rng, graph_class="general", n=rng.randint(k, 9), k=k)
+            calls.clear()
+            yes_seen += solve_target_exact(inst, k)
+            assert len(calls) == k - 2
+        assert yes_seen > 0
+
+
 class TestSolveTargetExact:
     def test_single_district(self):
         rng = random.Random(10)
@@ -481,6 +540,39 @@ class TestSolveTargetExact:
         inst = make_path(["p"] * 12, ["p", "c"], k=3)
         with pytest.raises(MemoryError):
             solve_target_exact(inst, 2, memory_cap=100_000)
+
+    def test_memory_guard_runs_before_enumeration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated before the memory guard")
+
+        monkeypatch.setattr(exact, "enumerate_districts", forbidden)
+        inst = make_path(["p"] * 12, ["p", "c"], k=3)
+        for k_star in (1, 2, 3):
+            with pytest.raises(MemoryError):
+                solve_target_exact(inst, k_star, memory_cap=100_000)
+
+    def test_one_base_event_per_solve(self):
+        # perfbench splits Q1 time from round time at the "base" event, so it
+        # fires exactly once on every solve past the guards: spare = 0 ones,
+        # empty bases, and solves that reach the full set in a round.
+        rng = random.Random(33)
+        spare_zero = early_yes = 0
+        for _ in range(80):
+            gclass = rng.choice(("path", "tree", "general"))
+            inst = random_instance(rng, graph_class=gclass, n=rng.randint(2, 9))
+            for k_star in range(1, inst.k + 1):
+                events = []
+                got = solve_target_exact(
+                    inst, k_star, trace=lambda kind, data: events.append((kind, data))
+                )
+                assert [kind for kind, _ in events].count("base") == 1
+                assert events[0][0] == "base"
+                spare = inst.k - k_star
+                last = events[-1][1]["tables"][spare]
+                assert last.tolist() == ([(1 << inst.n) - 1] if got else [])
+                spare_zero += spare == 0
+                early_yes += got and spare > 0
+        assert spare_zero > 40 and early_yes > 10
 
     def test_round_bound_formulas_agree(self):
         # The loop range folded with the per-rival cap equals the plain
