@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from .exact import check_memory_budget
 from .model import (
     DEFAULT_RULE,
     Instance,
@@ -123,12 +124,14 @@ class AuxGraph:
 def build_aux_graph(
     inst: Instance, k_star: int, rule: TieBreakRule = DEFAULT_RULE
 ) -> AuxGraph:
-    """Construct the interval DAG (its winner table).  The instance must be a path."""
+    """Construct the interval DAG (its winner table).  The instance must be a path.
+    Raises MemoryError, before filling it, when the table would pass the cap."""
     if inst.graph_class != "path":
         raise ValueError("the interval digraph is defined for path instances only")
     if not (1 <= k_star <= inst.k):
         raise ValueError(f"k_star={k_star} outside 1..k={inst.k}")
     n = inst.n
+    check_memory_budget(n * (n + 1) // 2 * 107)  # bytes per entry and key, at n = 400
 
     # Running totals: (i, j) is (i, j - 1) plus vertex j's weights.  A unique
     # maximum needs no tie-break, so rule.pick runs only on ties.

@@ -41,6 +41,7 @@ import sys
 import time
 from bisect import insort
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import groupby
 from math import comb
 from random import Random
@@ -530,6 +531,7 @@ def cmd_difftest(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)  # parsing does not change the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

@@ -13,36 +13,42 @@ multilinear term in its sum-product expansion exactly when some walk hands
 out k - k_star pairwise distinct labels, i.e. exactly when the target
 question is a yes.
 
-Detection is one-sided Monte Carlo.  Each trial substitutes for variable x a
-random element alpha * (e_0 + e_u) of the group algebra GF(2^ell)[Z_2^D] and
-evaluates the circuit with one extra twist: every wire into an addition gate
-is scaled by a fresh uniform GF(2^ell) coefficient.  Squares vanish,
-(e_0 + e_u)^2 = 0 in characteristic 2, so any term repeating a variable
-contributes nothing no matter the coefficients; a nonzero output therefore
-proves a multilinear term exists.  The wire coefficients are what keeps the
-converse alive: without them, terms that occur an even number of times
-cancel identically (two districts won by one rival can swap their two label
-copies, giving the same monomial twice; so can two distinct walks sharing a
-label set), and such instances would be missed with certainty rather than
-with the advertised probability.  With distinct coefficient fingerprints per
-term, a present multilinear term survives whenever its u vectors are
-linearly independent and the coefficient polynomial dodges its
-Schwartz-Zippel bad set.  Using D = degree + 2 the independence probability
-alone is at least 3/4, which keeps the per-trial success above 2/3; trials
-are independent and any nonzero evaluation settles the answer.
+Detection is a narrow sieve (Bjorklund, Husfeldt, Kaski & Koivisto, JCSS
+2017) over GF(2^ell) scalars, for degree d = k - k_star.  Each trial draws
+a uniform row a[v] of d field elements per variable v, evaluates the
+circuit at each of the 2^d subsets S of {0..d-1} with x_v(S) = xor of
+a[v][l] over l in S, scales every wire into an addition gate by a fresh
+uniform coefficient, and answers yes when the xor of the output over all S
+is nonzero.  A term's product, summed over S, counts each map from its
+variable slots to {0..d-1} 2^(d - |image|) times, which is odd only for
+onto maps.  So in characteristic 2 the sum is that of c_T(r) * perm(a[T])
+over the terms T of degree d, c_T being T's wire-coefficient product and
+a[T] the rows of T's variables.  A term of lower degree has no onto map; a
+repeated variable gives two equal rows, and a permanent is a determinant
+in characteristic 2.  With no multilinear term of degree d the sum is
+therefore exactly 0 for every draw: the solver never answers yes wrongly.
+
+The wire coefficients keep the converse alive: without them, terms that
+occur an even number of times cancel identically (two districts won by one
+rival can swap their two label copies, giving the same monomial twice; so
+can two distinct walks sharing a label set).  With them, distinct
+occurrences carry distinct coefficient monomials and distinct variable
+sets distinct determinants, so a multilinear term makes the sum a nonzero
+polynomial in the draws, of degree at most d + P, P being the most
+addition gates one sum-product term passes through.  By Schwartz-Zippel a
+trial misses with probability at most (d + P) / 2^ell, and ell is the
+smallest with 2^ell >= 3 (d + P), so at most 1/3; a circuit needing
+ell > 16 is refused.  Any nonzero trial settles the answer.
 
 Builder invariant that the fingerprint argument needs: each addition gate
 appears at most once per sum-product term.  The circuit below guarantees it
 by giving every DP layer its own label-sum gates; cell gates are layered by
 i, so no gate can recur along a single term.
 
-GF(2^ell) multiplication, for every ell in 1..16, goes through log/exp
-tables with a zero sentinel, so a scalar times a whole vector is two table
-gathers with no branch for zeros; the irreducible modulus comes from a
-built-in Rabin search rather than a trusted constant table.  Group-algebra
-values are plain uint32 arrays of length 2^D indexed by group element;
-addition is elementwise xor and multiplication is xor-convolution, driven
-from the sparser operand's support.
+Values are uint32 arrays over the 2^d points, dropped at their last
+reader.  GF(2^ell) products, for every ell in 1..16, are gathers from
+log/exp tables with a zero sentinel; the irreducible modulus comes from a
+built-in Rabin search rather than a trusted constant table.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .auxgraph import ArcLabel, AuxGraph, build_aux_graph
-from .exact import check_memory_budget
+from .exact import _over_subsets, check_memory_budget
 from .model import DEFAULT_RULE, Instance, TieBreakRule
 
 # ---------------------------------------------------------------------------
@@ -326,31 +332,19 @@ class _GFTables:
         self.size = 1 << ell
         self.modulus = find_irreducible(ell)
         order = self.size - 1
-        gen = self._find_generator(order)
         self.exp = np.zeros(4 * order + 1, dtype=np.uint32)
         self.log = np.full(self.size, 2 * order, dtype=np.uint32)
-        cur = 1
-        for i in range(order):
-            self.exp[i] = cur
-            self.log[cur] = i
-            cur = _gf_mul_int(cur, gen, self.modulus)
+        for gen in range(1, self.size):  # the first element whose powers fill the tables
+            cur = 1
+            for i in range(order):
+                if i and cur == 1:
+                    break  # gen's order is i < order
+                self.exp[i] = cur
+                self.log[cur] = i
+                cur = _gf_mul_int(cur, gen, self.modulus)
+            else:
+                break
         self.exp[order:2 * order] = self.exp[:order]
-
-    def _find_generator(self, order: int) -> int:
-        def power(base: int, e: int) -> int:
-            out, b = 1, base
-            while e:
-                if e & 1:
-                    out = _gf_mul_int(out, b, self.modulus)
-                b = _gf_mul_int(b, b, self.modulus)
-                e >>= 1
-            return out
-
-        factors = _prime_factors(order)
-        for cand in range(1, self.size):  # 1 generates GF(2)'s one-element group
-            if all(power(cand, order // p) != 1 for p in factors):
-                return cand
-        raise RuntimeError("no generator found, which cannot happen in a field")
 
     @classmethod
     def get(cls, ell: int) -> "_GFTables":
@@ -364,72 +358,75 @@ class _GFTables:
 
 
 # ---------------------------------------------------------------------------
-# group algebra GF(2^ell)[Z_2^dim]: uint32 arrays of length 2^dim indexed by
-# group element, added by xor
+# the sieve
 # ---------------------------------------------------------------------------
 
 
-def variable_value(dim: int, u: int, alpha: int) -> np.ndarray:
-    """alpha * (e_0 + e_u), the detection substitution for one variable."""
-    vec = np.zeros(1 << dim, dtype=np.uint32)
-    vec[0] ^= alpha
-    vec[u] ^= alpha
-    return vec
-
-
-def xor_convolve(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
-    """The group-algebra product of a and b, driven from the sparser support."""
-    tables = _GFTables.get(ell)
-    if np.count_nonzero(a) > np.count_nonzero(b):
-        a, b = b, a
-    out = np.zeros_like(b)
-    idx = np.arange(len(b))
-    log_b = tables.log.take(b)
-    for g in np.nonzero(a)[0]:
-        # out[h] gains a[g] * b[h ^ g], read through the row exp[log a[g]:]
-        # as in scalar_times_vector
-        out ^= tables.exp[tables.log[a[g]]:].take(log_b.take(idx ^ g))
-    return out
+def plan_sieve(circuit: Circuit) -> Tuple[int, List[List[int]], int]:
+    """(P, drops, peak).  P is the most addition gates one sum-product term of
+    the output passes through: 1 plus the largest child's at an addition
+    gate, the sum of both children's at a product gate.  drops[g] lists the
+    values to free once gate g is computed: each at its last reader, at once
+    if nobody reads it, never the output.  peak is the most alive at once.
+    """
+    count = circuit.gate_count
+    depth: List[int] = []
+    last = list(range(count))
+    for gid, (kind, arg) in enumerate(zip(circuit.kinds, circuit.args)):
+        children = arg if kind in ("plus", "times") else ()
+        for child in children:  # type: ignore[union-attr]
+            last[child] = gid
+        if kind == "plus":
+            depth.append(1 + max((depth[c] for c in children), default=0))
+        else:
+            depth.append(sum(depth[c] for c in children))
+    drops: List[List[int]] = [[] for _ in range(count)]
+    for gid, reader in enumerate(last):
+        if gid != circuit.output:
+            drops[reader].append(gid)
+    live = peak = 0
+    for gid in range(count):
+        live += 1
+        peak = max(peak, live)
+        live -= len(drops[gid])
+    assert circuit.output is not None
+    return depth[circuit.output], drops, peak
 
 
 def evaluate_circuit(
     circuit: Circuit,
-    values: Sequence[np.ndarray],
-    dim: int,
+    a: np.ndarray,
     ell: int,
     rng: random.Random,
+    drops: Sequence[Sequence[int]],
 ) -> np.ndarray:
-    """Evaluate every gate in creation order under the given variable values.
+    """The output gate's values at all 2^d points S, d being a's row length.
 
-    Each wire into an addition gate is scaled by a fresh uniform GF(2^ell)
-    coefficient drawn from `rng`, in child order.  The coefficients never
-    create terms, so a polynomial with no multilinear term still evaluates
-    to zero; what they add is a distinct fingerprint per sum-product term,
-    so equal terms stop cancelling in pairs.
+    Variable v takes the xor of a[v][l] over l in S, product gates multiply
+    pointwise, and each wire into an addition gate is scaled by a fresh
+    uniform GF(2^ell) coefficient drawn from `rng` in gate and child order.
+    drops[g] lists the values freed once gate g is computed (plan_sieve).
     """
     tables = _GFTables.get(ell)
-    out: List[np.ndarray] = []
-    for kind, arg in zip(circuit.kinds, circuit.args):
+    points = 1 << a.shape[1]
+    out: List[Optional[np.ndarray]] = [None] * circuit.gate_count
+    for gid, (kind, arg) in enumerate(zip(circuit.kinds, circuit.args)):
         if kind == "const":
-            vec = np.zeros(1 << dim, dtype=np.uint32)
-            vec[0] = arg
+            vec = np.full(points, arg, dtype=np.uint32)
         elif kind == "var":
-            vec = values[arg]  # type: ignore[index]
+            vec = _over_subsets(a[arg], np.bitwise_xor)
         elif kind == "plus":
-            vec = np.zeros(1 << dim, dtype=np.uint32)
+            vec = np.zeros(points, dtype=np.uint32)
             for child in arg:  # type: ignore[union-attr]
                 vec ^= tables.scalar_times_vector(rng.randrange(tables.size), out[child])
         else:
-            a, b = arg  # type: ignore[misc]
-            vec = xor_convolve(out[a], out[b], ell)
-        out.append(vec)
+            x, y = arg  # type: ignore[misc]
+            vec = tables.exp.take(tables.log.take(out[x]) + tables.log.take(out[y]))
+        out[gid] = vec
+        for dead in drops[gid]:
+            out[dead] = None
     assert circuit.output is not None
     return out[circuit.output]
-
-
-def default_ell(degree: int) -> int:
-    """ceil(log2(degree)) + 4, and 4 when the degree is 0 or 1."""
-    return ((degree - 1).bit_length() if degree >= 1 else 0) + 4
 
 
 def check_trials(trials: int) -> None:
@@ -438,46 +435,43 @@ def check_trials(trials: int) -> None:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
 
-def detect_multilinear(
-    circuit: Circuit,
-    degree: int,
-    ell: Optional[int] = None,
-    trials: int = 3,
-    seed: int = 0,
-) -> bool:
-    """True if a multilinear term is (probably) present in the expansion.
+def detect_multilinear(circuit: Circuit, degree: int, trials: int = 3, seed: int = 0) -> bool:
+    """True if a multilinear term of degree exactly `degree` is (probably)
+    present in the expansion.
 
-    Never answers True when the sum-product expansion has no multilinear
-    term.  When one exists it is found with probability at least 2/3 per
-    trial, provided no addition gate recurs within a single term (the
-    builder above guarantees that for its circuits).  `degree` must bound
-    the degree of every monomial.  Raises MemoryError, before allocating,
-    when the 2^(degree + 2)-entry uint32 vectors of all variables and gates
-    would exceed exact.DEFAULT_MEMORY_CAP.  A circuit whose output gate is
-    the constant 0 computes the zero polynomial, which has no multilinear
-    term, so it answers False before that check and before allocating.
+    Every monomial must have degree at most `degree`; the sieve does not see
+    terms of lower degree.  Never answers True when the expansion has no
+    multilinear term of that degree.  When one exists it is found with
+    probability at least 2/3 per trial, provided no addition gate recurs
+    within a single term (the builder above guarantees that for its
+    circuits).  Raises ValueError when that bound needs a field past
+    GF(2^16), and MemoryError when the most values alive at once, plus the
+    temporaries of a product, at 2^degree uint32 each, would exceed
+    exact.DEFAULT_MEMORY_CAP; both before allocating.  A circuit whose output
+    gate is the constant 0 computes the zero polynomial, which has no
+    multilinear term, so it answers False before those checks.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     check_trials(trials)
-    if ell is None:
-        ell = default_ell(degree)
-    if degree >= 1 and (1 << max(ell - 2, 0)) < degree:
-        raise ValueError(f"ell={ell} too small for degree {degree}: need ell >= log2(degree)+2")
     out = circuit.output
     if out is not None and circuit.kinds[out] == "const" and circuit.args[out] == 0:
         return False
-    dim = degree + 2  # slack keeps the linear-independence probability >= 3/4
+    depth, drops, peak = plan_sieve(circuit)
+    ell = (3 * (degree + depth) - 1).bit_length()  # smallest with 2^ell >= 3 (d + P)
+    if ell > 16:
+        raise ValueError(
+            f"degree {degree} with {depth} addition gates per term needs GF(2^{ell}) "
+            "for a 1/3 miss bound, past GF(2^16)"
+        )
+    # a product gate also holds two log gathers and their sum
+    check_memory_budget((peak + 3) * 4 << degree)
     nvars = len(circuit.variables)
-    check_memory_budget((nvars + circuit.gate_count) * 4 * (1 << dim))
-    _GFTables.get(ell)  # fail fast if ell is unsupported
     rng = random.Random(seed)
     for _ in range(trials):
-        values = [
-            variable_value(dim, rng.randrange(1 << dim), rng.randrange(1 << ell))
-            for _ in range(nvars)
-        ]
-        if evaluate_circuit(circuit, values, dim, ell, rng).any():
+        draws = [rng.randrange(1 << ell) for _ in range(nvars * degree)]
+        a = np.array(draws, dtype=np.uint32).reshape(nvars, degree)
+        if np.bitwise_xor.reduce(evaluate_circuit(circuit, a, ell, rng, drops)):
             return True
     return False
 
@@ -501,8 +495,4 @@ def solve_target_rand(
     if not (1 <= k_star <= inst.k):
         return False
     circuit = build_circuit(inst, k_star, rule)
-    degree = inst.k - k_star
-    # wire coefficients add roughly k + 2*degree to the Schwartz-Zippel
-    # degree, so scale the field size with k as well
-    ell = min(16, max(default_ell(degree), (inst.k + 2).bit_length() + 3))
-    return detect_multilinear(circuit, degree, ell=ell, trials=trials, seed=seed)
+    return detect_multilinear(circuit, inst.k - k_star, trials=trials, seed=seed)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from gerrysolve import cli, oracle
+from gerrysolve.auxgraph import build_aux_graph
 from gerrysolve.cli import (
     DifftestReport,
     generate_instance,
@@ -23,6 +24,7 @@ from gerrysolve.cli import (
     target_ruled_out,
 )
 from gerrysolve.model import (
+    Instance,
     TieBreakRule,
     classify_graph,
     instance_from_json,
@@ -135,6 +137,17 @@ class TestSolve:
         else:
             assert report["witness"] is None
 
+    def test_successive_calls_keep_their_own_flags(self, tmp_path, capsys):
+        # one parser serves every call in the process; flags must not carry over
+        path, _ = write_instance(tmp_path, seed=8, n=8, m=3, k=4)
+        cli.main(["solve", str(path), "--json", "--witness"])
+        first = json.loads(capsys.readouterr().out)
+        cli.main(["solve", str(path)])
+        second = capsys.readouterr().out
+        assert first["answer"] == "yes" and first["witness"]
+        assert second.startswith("answer: yes\n") and "witness" not in second
+        assert cli.build_parser() is cli.build_parser()
+
     def test_k_star_restricts_the_loop(self, tmp_path, capsys):
         path, inst = write_instance(tmp_path)
         assert cli.main(["solve", str(path), "--json"]) == 0
@@ -219,6 +232,27 @@ class TestSolve:
         path, inst = write_instance(tmp_path, seed=5, n=30, m=26, k=27)
         assert not target_ruled_out(inst, 2)
         assert_one_line_error("solve", str(path), "--algo", "randfpt", "--k-star", "2")
+
+    def test_unaffordable_winner_table_is_a_one_line_error(self, tmp_path):
+        # n = 8,000: the interval winner table's 32 M entries would take
+        # about 3.4 GB; auto picks detfpt, and both path solvers refuse
+        n = 8000
+        inst = Instance(
+            n=n,
+            edges=tuple((v, v + 1) for v in range(n - 1)),
+            graph_class="path",
+            candidates=("p", "q"),
+            p=0,
+            k=3,
+            weights=tuple({v % 2: 1} for v in range(n)),
+        )
+        with pytest.raises(MemoryError, match="exceeds the cap"):
+            build_aux_graph(inst, 2)
+        path = tmp_path / "long.json"
+        path.write_text(cli.instance_to_json(inst), encoding="utf-8")
+        assert pick_solver(inst, 2) == "detfpt"
+        assert_one_line_error("solve", str(path))
+        assert_one_line_error("solve", str(path), "--algo", "randfpt")
 
     @pytest.mark.parametrize("graph_class", ["path", "tree"])
     def test_forced_oracle_past_its_budget_is_a_one_line_error(self, tmp_path, graph_class):

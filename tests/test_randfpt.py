@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from conftest import find_st_paths, has_qualifying_path, random_instance
-from gerrysolve import randfpt
+from gerrysolve import exact, randfpt
 from gerrysolve.auxgraph import ArcLabel, build_aux_graph
 from gerrysolve.cli import generate_instance
 from gerrysolve.model import Instance, TieBreakRule
@@ -22,9 +23,8 @@ from gerrysolve.randfpt import (
     detect_multilinear,
     expand_symbolic,
     find_irreducible,
+    plan_sieve,
     solve_target_rand,
-    variable_value,
-    xor_convolve,
 )
 
 LEX = TieBreakRule("lex_min_candidate")
@@ -194,52 +194,101 @@ class TestFieldLayer:
                 assert left == right
 
 
-def random_element(dim, ell, rng):
-    return np.array([rng.randrange(1 << ell) for _ in range(1 << dim)], dtype=np.uint32)
+def permanent(rows, modulus):
+    """Brute-force permanent over GF(2^ell); signs vanish in characteristic 2."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        prod = 1
+        for row, col in enumerate(perm):
+            prod = _gf_mul_int(prod, rows[row][col], modulus)
+        total ^= prod
+    return total
 
 
-def identity(dim):
-    vec = np.zeros(1 << dim, dtype=np.uint32)
-    vec[0] = 1
-    return vec
+def sieve_sum(circuit, a, ell, seed=0):
+    """The xor of the output over all 2^d points for the draw a."""
+    _, drops, _ = plan_sieve(circuit)
+    a = np.array(a, dtype=np.uint32).reshape(len(circuit.variables), -1)
+    out = randfpt.evaluate_circuit(circuit, a, ell, random.Random(seed), drops)
+    return int(np.bitwise_xor.reduce(out))
 
 
-class TestGroupAlgebra:
-    def test_ring_laws(self):
-        rng = random.Random(601)
-        for dim, ell in [(1, 1), (2, 3), (3, 8), (4, 12), (6, 16)]:
-            a = random_element(dim, ell, rng)
-            b = random_element(dim, ell, rng)
-            c = random_element(dim, ell, rng)
+def product_circuit(nvars, picks):
+    """The product of the variables in picks, repeats allowed."""
+    circuit = Circuit([ArcLabel(1, j) for j in range(1, nvars + 1)])
+    gate = circuit.var(picks[0])
+    for v in picks[1:]:
+        gate = circuit.times(gate, circuit.var(v))
+    circuit.output = gate
+    return circuit
 
-            def mul(x, y):
-                return xor_convolve(x, y, ell)
 
-            assert np.array_equal(mul(a, b), mul(b, a))
-            assert np.array_equal(mul(mul(a, b), c), mul(a, mul(b, c)))
-            assert np.array_equal(mul(a, b ^ c), mul(a, b) ^ mul(a, c))
-            assert np.array_equal(mul(a, identity(dim)), a)
-            assert not mul(a, np.zeros(1 << dim, dtype=np.uint32)).any()
-            assert not (a ^ a).any()
+def random_rows(rng, nvars, d, ell):
+    return [[rng.randrange(1 << ell) for _ in range(d)] for _ in range(nvars)]
 
-    def test_variable_values_square_to_zero(self):
-        rng = random.Random(602)
-        for _ in range(60):
-            dim = rng.randint(1, 5)
-            ell = rng.choice([2, 4, 8, 13])
-            u = rng.randrange(1 << dim)
-            alpha = rng.randrange(1 << ell)
-            x = variable_value(dim, u, alpha)
-            assert not xor_convolve(x, x, ell).any()
 
-    def test_scaled_matches_identity_product(self):
-        rng = random.Random(603)
-        for dim, ell in [(3, 5), (2, 12)]:
-            a = random_element(dim, ell, rng)
-            s = rng.randrange(1, 1 << ell)
-            scaled = _GFTables.get(ell).scalar_times_vector
-            via_identity = xor_convolve(a, scaled(s, identity(dim)), ell)
-            assert np.array_equal(scaled(s, a), via_identity)
+class TestSieve:
+    def test_sum_over_points_is_the_permanent(self):
+        rng = random.Random(801)
+        for d in range(1, 6):
+            for ell in (1, 3, 8, 16):
+                nvars = d + 2
+                picks = rng.sample(range(nvars), d)
+                a = random_rows(rng, nvars, d, ell)
+                expected = permanent([a[v] for v in picks], _GFTables.get(ell).modulus)
+                assert sieve_sum(product_circuit(nvars, picks), a, ell) == expected
+
+    def test_repeated_variable_and_lower_degree_sum_to_zero(self):
+        rng = random.Random(802)
+        for d in range(2, 6):
+            repeated = product_circuit(d, [0, 0] + rng.sample(range(1, d), d - 2))
+            lower = product_circuit(d, rng.sample(range(d), d - 1))
+            for _ in range(40):
+                ell = rng.choice([1, 4, 8])
+                for circuit in (repeated, lower):
+                    assert sieve_sum(circuit, random_rows(rng, d, d, ell), ell) == 0
+
+    def test_weighted_sum_of_invisible_terms_is_zero(self):
+        # x0^2 x1 + x1 x2 at degree 3, through addition gates with random
+        # wire coefficients: neither term is multilinear of degree 3
+        c = Circuit([ArcLabel(1, 1), ArcLabel(1, 2), ArcLabel(2, 1)])
+        v0, v1, v2 = c.var(0), c.var(1), c.var(2)
+        c.output = c.plus([c.times(c.times(v0, v0), v1), c.times(v1, v2)])
+        rng = random.Random(803)
+        for seed in range(40):
+            assert sieve_sum(c, random_rows(rng, 3, 3, 5), 5, seed=seed) == 0
+        assert not detect_multilinear(c, 3, trials=20, seed=1)
+
+    def test_release_plan_drops_values_at_their_last_reader(self):
+        chain = product_circuit(6, list(range(6)))
+        depth, drops, peak = plan_sieve(chain)
+        assert depth == 0 and peak == 3  # running product, next variable, their product
+        freed = sorted(g for gates in drops for g in gates)
+        assert freed == [g for g in range(chain.gate_count) if g != chain.output]
+
+    def test_guard_counts_live_values(self, monkeypatch):
+        degree = 10  # 4 KiB per value; the cap below fits 64
+        cap = 64 * (4 << degree)
+        monkeypatch.setattr(
+            randfpt, "check_memory_budget", lambda est: exact.check_memory_budget(est, cap)
+        )
+        # 200 gates, but never more than 3 values alive at once: accepted
+        chain = product_circuit(degree, list(range(degree)))
+        for _ in range(200):
+            chain.output = chain.plus_gate([chain.output])
+        assert chain.gate_count * (4 << degree) > cap
+        assert plan_sieve(chain)[2] <= 3
+        assert detect_multilinear(chain, degree, trials=5, seed=2)
+        # a sum of 90 products that are all alive before it: refused, and
+        # nothing is evaluated
+        wide = Circuit([ArcLabel(1, j) for j in range(1, 11)])
+        wide.output = wide.plus(
+            [wide.times(wide.var(i), wide.var(j)) for i in range(10) for j in range(10) if i != j]
+        )
+        assert plan_sieve(wide)[2] > 64
+        monkeypatch.setattr(randfpt, "evaluate_circuit", None)
+        with pytest.raises(MemoryError, match="exceeds the cap"):
+            detect_multilinear(wide, degree)
 
 
 class TestDetection:
@@ -279,9 +328,10 @@ class TestDetection:
             assert detect_multilinear(circuit, 2, trials=12, seed=seed) is True
 
     def test_first_trial_output_is_pinned(self, monkeypatch):
-        # Pins the draw order (u then alpha per variable, then one
-        # coefficient per plus-gate wire in child order), the modulus and the
-        # product: changing any of them changes the answer for some seed.
+        # Pins the draw order (a row by row in variable order, then one
+        # coefficient per plus-gate wire in gate and child order), the field
+        # size from d + P = 3, the modulus and the product: changing any of
+        # them changes the answer for some seed.
         def wire(c):
             c.output = c.plus([c.times(c.var(0), c.var(1)), c.times(c.var(1), c.var(2))])
 
@@ -290,20 +340,22 @@ class TestDetection:
         monkeypatch.setattr(
             randfpt, "evaluate_circuit", lambda *args: outputs.append(evaluate(*args)) or outputs[-1]
         )
-        assert detect_multilinear(self.manual_circuit(wire), 2, ell=5, trials=1, seed=7)
-        assert outputs[0].tolist() == [25, 0, 30, 0, 0, 0, 7, 0, 0, 0, 7, 0, 25, 0, 30, 0]
+        assert detect_multilinear(self.manual_circuit(wire), 2, trials=1, seed=7)
+        assert outputs[0].tolist() == [0, 0, 9, 15]
 
     def test_ell_validation(self):
         def wire(c):
             c.output = c.times(c.var(0), c.var(1))
 
-        circuit = self.manual_circuit(wire)
         with pytest.raises(ValueError):
-            detect_multilinear(circuit, 8, ell=4)
-        with pytest.raises(ValueError):
-            detect_multilinear(circuit, 2, ell=17)
-        with pytest.raises(ValueError):
-            detect_multilinear(circuit, -1)
+            detect_multilinear(self.manual_circuit(wire), -1)
+        # 21,846 addition gates per term need 2^ell >= 65,538, past GF(2^16)
+        deep = Circuit([])
+        deep.output = deep.const(1)
+        for _ in range(21_846):
+            deep.output = deep.plus_gate([deep.output])
+        with pytest.raises(ValueError, match="GF"):
+            detect_multilinear(deep, 0)
 
     def test_trials_below_one_rejected(self):
         def wire(c):
@@ -315,12 +367,13 @@ class TestDetection:
                 detect_multilinear(circuit, 2, trials=trials)
 
     def test_constant_zero_output_is_false_before_the_memory_check(self):
-        # degree 26 would need 1 GiB per vector, past the memory cap; the
-        # zero polynomial has no multilinear term, so nothing is sized
+        # degree 28: the one value and the product temporaries would need
+        # 4 GiB, past the memory cap; the zero polynomial has no multilinear
+        # term, so nothing is sized
         def wire(c):
             c.output = c.const(0)
 
-        assert detect_multilinear(self.manual_circuit(wire), 26) is False
+        assert detect_multilinear(self.manual_circuit(wire), 28) is False
 
     def test_even_path_count_still_detected(self):
         # two all-p partitions of a 3-path into 2 districts give a constant
@@ -341,8 +394,8 @@ class TestDetection:
             assert solve_target_rand(inst, 3, LEX, trials=8, seed=seed) is True
 
     def test_unaffordable_degree_raises_before_allocating(self):
-        # degree 25: 25 variables and every gate would hold a 2^27-entry
-        # uint32 vector, 512 MiB each, past the 2 GiB cap.
+        # degree 25: each value is 2^25 uint32 points, 128 MiB, and the
+        # circuit holds over a hundred of them at once, past the 2 GiB cap.
         inst = random_instance(random.Random(6), graph_class="path", n=30, m=26, k=27)
         circuit = build_circuit(inst, 2, LEX)
         assert circuit.gate_count > 100
