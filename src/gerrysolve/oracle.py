@@ -191,11 +191,3 @@ def solve_target_oracle(
     achieved, part = first_target(inst, (k_star,), rule)
     return achieved is not None, part
 
-
-def solve_wgm_oracle(
-    inst: Instance, rule: TieBreakRule = DEFAULT_RULE
-) -> Tuple[bool, Optional[Partition]]:
-    """Is there a partition where p strictly beats every rival?  The witness
-    is the first partition at the smallest k_star achieved."""
-    achieved, part = first_target(inst, range(1, inst.k + 1), rule)
-    return achieved is not None, part

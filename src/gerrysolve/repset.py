@@ -12,15 +12,33 @@ disjointness is `a & b == 0` and the disjoint-union product of two families
 is plain bitwise or.
 
 The pruning construction maps each p-set A to the vector of all p x p minors
-of the columns of a random (p+q) x |U| matrix selected by A, over a large
-prime field.  A basis of that vector collection, found by Gaussian
-elimination in insertion order, is a q-representative subfamily of size at
-most C(p+q, p).  The construction is Monte Carlo: it fails only when some
-(p+q) x (p+q) column submatrix of the random matrix is accidentally
-singular, which happens with probability at most (p+q)/|field| per
-disjoint pair, and the field has about 2^61 elements.  verify_representative
-checks the property outright on small universes so callers can re-run with a
-fresh seed on the (astronomically unlikely) failure.
+of M_A, the columns picked by A of a random d x |U| matrix with d = p + q,
+over a large prime field.  A basis of that vector collection, found by
+Gaussian elimination in insertion order, is a q-representative subfamily of
+size at most C(d, p).  The construction is Monte Carlo: it fails only when
+some d x d column submatrix of the random matrix is accidentally singular,
+which happens with probability at most d/|field| per disjoint pair, and the
+field has about 2^61 elements.  verify_representative checks the property
+outright on small universes so callers can re-run with a fresh seed on the
+(astronomically unlikely) failure.
+
+q = 0 needs no matrix: with B empty every set avoids B, so any one member
+represents the family, and represent keeps the smallest.  This is exact, so
+the failure bound above concerns only q >= 1.
+
+When q < p the vectors come from the dual side (Grassmann duality).  Let N
+be a d x q basis of the left kernel of M_A, read off the reduced echelon
+form of M_A's transpose.  When M_A has rank p, the p x p minor of M_A on
+rows I equals lambda_A * (-1)^(sum of I) times the q x q minor of N on the
+other d - p rows, for one nonzero scalar lambda_A per set; when the rank is
+below p both vectors are zero.  So each set's dual vector is a fixed
+relabelling and sign flip of its primal vector, scaled by lambda_A: one
+invertible linear map shared by all sets, then one nonzero factor per set.
+The elimination keeps a set exactly when its vector leaves the span of the
+vectors kept before it, and neither such a map nor scaling one vector
+changes that, so both routes keep the same sets and stop at the same set.
+The dual route pays for C(d, q) minors of size q x q instead of C(d, p) of
+size p x p.
 """
 
 from __future__ import annotations
@@ -28,7 +46,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import comb
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .model import mask_vertices
 
@@ -65,26 +83,27 @@ def _random_matrix(rows: int, cols: int, seed: int) -> List[List[int]]:
     return [[rng.randrange(FIELD_PRIME) for _ in range(cols)] for _ in range(rows)]
 
 
-def _det_mod(matrix: List[List[int]]) -> int:
-    """Determinant over the prime field, by elimination with pivoting."""
+def _minors(rows: List[List[int]], size: int) -> List[int]:
+    """All size x size minors of the first `size` columns of a matrix given
+    by rows, with row subsets in lexicographic order.
+
+    Built up one column at a time by Laplace expansion along the newest
+    column: the minor on sorted rows S and columns 0..c is the sum over
+    the t-th row j of S of (-1)^(t + c) * rows[j][c] times the minor on
+    S - {j} and columns 0..c-1.
+    """
     p = FIELD_PRIME
-    m = [row[:] for row in matrix]
-    size = len(m)
-    det = 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = (-det) % p
-        inv = pow(m[col][col], p - 2, p)
-        det = det * m[col][col] % p
-        for r in range(col + 1, size):
-            factor = m[r][col] * inv % p
-            if factor:
-                m[r] = [(m[r][c] - factor * m[col][c]) % p for c in range(size)]
-    return det % p
+    prev: Dict[Tuple[int, ...], int] = {(): 1}
+    for c in range(size):
+        cur: Dict[Tuple[int, ...], int] = {}
+        for pick in combinations(range(len(rows)), c + 1):
+            total = 0
+            for t, j in enumerate(pick):
+                term = rows[j][c] * prev[pick[:t] + pick[t + 1:]]
+                total += -term if (t + c) & 1 else term
+            cur[pick] = total % p
+        prev = cur
+    return list(prev.values())
 
 
 def _wedge_vector(mask: int, matrix: List[List[int]], p_card: int) -> List[int]:
@@ -94,14 +113,76 @@ def _wedge_vector(mask: int, matrix: List[List[int]], p_card: int) -> List[int]:
     lexicographic order.  For p = 0 the vector is the single scalar 1.
     """
     cols = mask_vertices(mask)
-    rows_total = len(matrix)
-    if p_card == 0:
-        return [1]
-    sub = [[matrix[r][c] for c in cols] for r in range(rows_total)]
-    return [
-        _det_mod([sub[r] for r in row_pick])
-        for row_pick in combinations(range(rows_total), p_card)
-    ]
+    return _minors([[row[c] for c in cols] for row in matrix], p_card)
+
+
+def _dual_vector(mask: int, matrix: List[List[int]], p_card: int) -> List[int]:
+    """All q x q minors of a left-kernel basis of the columns picked by `mask`.
+
+    With d = len(matrix) rows and q = d - p, the picked columns form the
+    d x p matrix M_A.  Gauss-Jordan elimination of its transpose leaves p
+    pivot rows over d positions; each of the q free positions f gives the
+    kernel vector with 1 at f and minus the pivot rows' f-entries at their
+    pivot positions.  Those q vectors are the columns of N, and the result
+    is N's q x q minors on q-subsets of the rows in lexicographic order.
+    Rank below p gives the zero vector, as the primal minors do.
+    """
+    p = FIELD_PRIME
+    d = len(matrix)
+    q = d - p_card
+    rows = [[row[c] for row in matrix] for c in mask_vertices(mask)]
+    pivots: List[int] = []
+    for col in range(d):
+        at = len(pivots)
+        if at == p_card:
+            break
+        pick = next((r for r in range(at, p_card) if rows[r][col] % p), None)
+        if pick is None:
+            continue
+        rows[at], rows[pick] = rows[pick], rows[at]
+        inv = pow(rows[at][col] % p, -1, p)
+        head = rows[at] = [x * inv % p for x in rows[at]]
+        for r in range(p_card):
+            if r != at:
+                factor = rows[r][col] % p
+                if factor:
+                    rows[r] = [x - factor * y for x, y in zip(rows[r], head)]
+        pivots.append(col)
+    if len(pivots) < p_card:
+        return [0] * comb(d, q)
+    free = [col for col in range(d) if col not in pivots]
+    kernel = [[int(f == g) for g in free] for f in range(d)]
+    for row, col in zip(rows, pivots):
+        kernel[col] = [-row[f] % p for f in free]
+    return _minors(kernel, q)
+
+
+def _independent(pairs: Iterable[Tuple[int, List[int]]], bound: int) -> Set[int]:
+    """Masks whose vectors leave the span of the vectors kept before them.
+
+    An echelon basis, pivot coordinate -> vector normalized to 1 there,
+    tells the span apart: a vector reduced by every basis vector in turn is
+    zero exactly when it lies in the span.  Stops once `bound` are kept.
+    Entries are reduced mod the prime only where they are read; each
+    reduction step adds one product of two reduced values.
+    """
+    p = FIELD_PRIME
+    kept: Set[int] = set()
+    basis: Dict[int, List[int]] = {}
+    for mask, vec in pairs:
+        for piv, bvec in basis.items():
+            coef = vec[piv] % p
+            if coef:
+                vec = [x - coef * y for x, y in zip(vec, bvec)]
+        piv = next((i for i, x in enumerate(vec) if x % p), None)
+        if piv is None:
+            continue
+        inv = pow(vec[piv] % p, -1, p)
+        basis[piv] = [x * inv % p for x in vec]
+        kept.add(mask)
+        if len(kept) == bound:
+            break
+    return kept
 
 
 def represent(
@@ -112,7 +193,8 @@ def represent(
     Deduplicates first; if the family is already within the size bound it is
     returned as is (every family represents itself).  q < 0 yields the empty
     family: the defining condition is vacuous there, and in the DP such sets
-    are already too large to extend to a solution.
+    are already too large to extend to a solution.  q = 0 keeps the smallest
+    set, exactly.
     """
     fam = sorted(set(family))
     if q < 0:
@@ -125,26 +207,12 @@ def represent(
         return set(fam)
     if universe_size < p_card:
         raise ValueError("sets exceed the stated universe")
+    if q == 0:
+        return {fam[0]}
 
     matrix = _random_matrix(p_card + q, universe_size, seed)
-    kept: Set[int] = set()
-    # Echelon basis: pivot coordinate -> normalized vector.
-    basis: Dict[int, List[int]] = {}
-    for mask in fam:
-        vec = _wedge_vector(mask, matrix, p_card)
-        for piv, bvec in basis.items():
-            coef = vec[piv]
-            if coef:
-                vec = [(x - coef * y) % FIELD_PRIME for x, y in zip(vec, bvec)]
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            continue
-        inv = pow(vec[piv], FIELD_PRIME - 2, FIELD_PRIME)
-        basis[piv] = [x * inv % FIELD_PRIME for x in vec]
-        kept.add(mask)
-        if len(kept) == bound:
-            break
-    return kept
+    vector = _dual_vector if q < p_card else _wedge_vector
+    return _independent(((mask, vector(mask, matrix, p_card)) for mask in fam), bound)
 
 
 def verify_representative(

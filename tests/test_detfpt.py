@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from conftest import random_instance
+from gerrysolve import repset
 from gerrysolve.auxgraph import SINK, SOURCE, ArcLabel, build_aux_graph
 from gerrysolve.detfpt import DpTable, run_dp, solve_target_det
 from gerrysolve.model import Instance, TieBreakRule, satisfies_target
@@ -123,6 +124,38 @@ class TestRepresentToggle:
             k_star = rng.randint(1, inst.k)
             answers = {solve_target_det(inst, k_star, seed=s)[0] for s in range(3)}
             assert len(answers) == 1
+
+
+    def test_dual_route_runs_and_keeps_answers(self, monkeypatch):
+        # Cells with fewer labels left to add than labels held (q < p) are
+        # pruned through the left-kernel minors; their answers and
+        # witnesses must match the unpruned table's.
+        calls = []
+        dual = repset._dual_vector
+
+        def spy(mask, matrix, p_card):
+            calls.append(p_card)
+            return dual(mask, matrix, p_card)
+
+        monkeypatch.setattr(repset, "_dual_vector", spy)
+        rng = random.Random(7)
+        dual_targets = dual_yes = 0
+        for _ in range(40):
+            inst = random_instance(
+                rng, graph_class="path", n=rng.randint(10, 12), m=rng.randint(3, 4),
+                k=rng.randint(7, 8),
+            )
+            for k_star in range(2, inst.k + 1):
+                before = len(calls)
+                got, witness = solve_target_det(inst, k_star)
+                if len(calls) == before:
+                    continue
+                dual_targets += 1
+                assert got == solve_target_det(inst, k_star, use_represent=False)[0]
+                if got:
+                    dual_yes += 1
+                    assert satisfies_target(inst, witness, k_star, LEX)
+        assert dual_targets >= 10 and dual_yes >= 3
 
 
 class TestTableInvariants:

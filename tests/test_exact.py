@@ -32,7 +32,7 @@ from gerrysolve.model import (
     is_connected_subset,
     satisfies_target,
 )
-from gerrysolve.oracle import solve_target_oracle, solve_wgm_oracle
+from gerrysolve.oracle import first_target, solve_target_oracle
 from gerrysolve.detfpt import solve_target_det
 
 LEX = TieBreakRule("lex_min_candidate")
@@ -671,7 +671,7 @@ class TestSolveWgm:
         for _ in range(20):
             gclass = rng.choice(("path", "tree", "general"))
             inst = random_instance(rng, graph_class=gclass, n=rng.randint(1, 8))
-            want, _ = solve_wgm_oracle(inst)
+            want = first_target(inst, range(1, inst.k + 1), DEFAULT_RULE)[0] is not None
             for algo in ("oracle", "exact", "auto"):
                 got, part = solve_wgm(inst, algo=algo)
                 assert got == want, (inst, algo)
@@ -683,7 +683,7 @@ class TestSolveWgm:
         rng = random.Random(16)
         for _ in range(15):
             inst = random_instance(rng, graph_class="path", n=rng.randint(1, 8))
-            want, _ = solve_wgm_oracle(inst)
+            want = first_target(inst, range(1, inst.k + 1), DEFAULT_RULE)[0] is not None
             got, part = solve_wgm(inst, algo="detfpt")
             assert got == want
             if part is not None:
@@ -695,7 +695,7 @@ class TestSolveWgm:
         agree = total = 0
         for _ in range(15):
             inst = random_instance(rng, graph_class="path", n=rng.randint(1, 7))
-            want, _ = solve_wgm_oracle(inst)
+            want = first_target(inst, range(1, inst.k + 1), DEFAULT_RULE)[0] is not None
             got, part = solve_wgm(inst, algo="randfpt")
             assert part is None
             if not want:

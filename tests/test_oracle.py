@@ -10,6 +10,7 @@ import pytest
 
 from conftest import path_edges, random_instance
 from gerrysolve.model import (
+    DEFAULT_RULE,
     Instance,
     TieBreakRule,
     evaluate_partition,
@@ -22,7 +23,6 @@ from gerrysolve.oracle import (
     enumerate_partitions,
     first_target,
     solve_target_oracle,
-    solve_wgm_oracle,
 )
 
 LEX = TieBreakRule("lex_min_candidate")
@@ -187,9 +187,9 @@ class TestSolvers:
             inst = random_instance(rng, graph_class=rng.choice(["path", "tree", "general"]), n=rng.randint(1, 7))
             for rule in (LEX, PREF):
                 targets = [solve_target_oracle(inst, ks, rule)[0] for ks in range(1, inst.k + 1)]
-                whole, witness = solve_wgm_oracle(inst, rule)
-                assert whole == any(targets)
-                if whole:
+                achieved, witness = first_target(inst, range(1, inst.k + 1), rule)
+                assert (achieved is not None) == any(targets)
+                if achieved is not None:
                     _, strict = evaluate_partition(inst, witness, rule)
                     assert strict
 
@@ -234,13 +234,13 @@ class TestSolvers:
             k=1,
             weights=({0: 3}, {1: 3}),
         )
-        assert not solve_wgm_oracle(inst, LEX)[0]
-        assert solve_wgm_oracle(inst, PREF)[0]
+        assert first_target(inst, range(1, inst.k + 1), LEX)[0] is None
+        assert first_target(inst, range(1, inst.k + 1), PREF)[0] is not None
 
     def test_single_vertex(self):
         inst = Instance(
             n=1, edges=(), graph_class="path", candidates=("a", "b"), p=0, k=1,
             weights=({0: 1},),
         )
-        assert solve_wgm_oracle(inst)[0]
+        assert first_target(inst, range(1, inst.k + 1), DEFAULT_RULE)[0] is not None
         assert solve_target_oracle(inst, 1)[0]

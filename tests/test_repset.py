@@ -9,6 +9,11 @@ from math import comb
 import pytest
 
 from gerrysolve.repset import (
+    FIELD_PRIME,
+    _dual_vector,
+    _independent,
+    _random_matrix,
+    _wedge_vector,
     family_cardinality,
     represent,
     star,
@@ -127,6 +132,75 @@ class TestRepresent:
     def test_deterministic_for_seed(self):
         fam = random_family(random.Random(35), 8, 2, 20)
         assert represent(fam, 2, 8, seed=5) == represent(fam, 2, 8, seed=5)
+
+
+class TestDualRoute:
+    @pytest.mark.parametrize("p_card, q", [(2, 4), (1, 6), (2, 2), (3, 3), (5, 2), (6, 1), (7, 1)])
+    def test_dual_and_wedge_vectors_keep_the_same_masks(self, p_card, q):
+        rng = random.Random(50 + 10 * p_card + q)
+        pruned = 0
+        for trial in range(8):
+            u = rng.randint(p_card + q + 1, p_card + q + 3)
+            bound = comb(p_card + q, p_card)
+            size = rng.randint(1, min(comb(u, p_card), bound + 20))
+            fam = sorted(random_family(rng, u, p_card, size))
+            matrix = _random_matrix(p_card + q, u, trial)
+            for c in range(0, u, 2):  # zero leading entries make the elimination pivot
+                matrix[0][c] = 0
+            primal = _independent(((a, _wedge_vector(a, matrix, p_card)) for a in fam), bound)
+            dual = _independent(((a, _dual_vector(a, matrix, p_card)) for a in fam), bound)
+            assert primal == dual
+            pruned += len(primal) < len(fam)
+        assert pruned > 0
+
+    def test_each_minor_is_a_signed_multiple_of_the_complementary_dual_minor(self):
+        # p x p minor on rows I = lambda_A * (-1)^sum(I) * q x q minor of the
+        # kernel basis on the other rows, one nonzero lambda_A per set.
+        rng = random.Random(60)
+        for trial in range(20):
+            p_card, q = rng.randint(1, 5), rng.randint(1, 3)
+            d, u = p_card + q, p_card + q + rng.randint(0, 3)
+            matrix = _random_matrix(d, u, trial)
+            (mask,) = random_family(rng, u, p_card, 1)
+            primal = _wedge_vector(mask, matrix, p_card)
+            dual = dict(zip(combinations(range(d), q), _dual_vector(mask, matrix, p_card)))
+            ratios = set()
+            for rows, minor in zip(combinations(range(d), p_card), primal):
+                other = tuple(r for r in range(d) if r not in rows)
+                signed = minor if sum(rows) % 2 == 0 else -minor % FIELD_PRIME
+                assert (signed == 0) == (dual[other] == 0)
+                if signed:
+                    ratios.add(signed * pow(dual[other], -1, FIELD_PRIME) % FIELD_PRIME)
+            assert len(ratios) == 1 and 0 not in ratios
+
+    @pytest.mark.parametrize("p_card, q", [(3, 2), (2, 3), (4, 1)])
+    def test_equal_columns_give_zero_on_both_routes(self, p_card, q):
+        d, u = p_card + q, p_card + q + 2
+        matrix = _random_matrix(d, u, 61)
+        for row in matrix:
+            row[5] = row[1]
+        mask = (1 << 1) | (1 << 5) | sum(1 << c for c in (0, 2, 3, 4, 6)[: p_card - 2])
+        assert not any(_wedge_vector(mask, matrix, p_card))
+        assert not any(_dual_vector(mask, matrix, p_card))
+
+    def test_q_zero_keeps_the_smallest_set_for_every_seed(self):
+        rng = random.Random(62)
+        for seed in range(30):
+            u = rng.randint(2, 9)
+            fam = random_family(rng, u, rng.randint(1, u - 1), rng.randint(2, 12))
+            if len(fam) < 2:
+                continue
+            assert represent(fam, 0, u, seed=seed) == {min(fam)}
+
+    def test_kept_set_pinned(self):
+        # p = 5, q = 2, d = 7: the dual route; the value is the one the
+        # primal route produces for the same seed.
+        pool = [sum(1 << i for i in c) for c in combinations(range(9), 5)]
+        fam = set(random.Random(7).sample(pool, 40))
+        assert sorted(represent(fam, 2, 9, seed=11)) == [
+            55, 59, 62, 87, 94, 103, 107, 110, 118, 121, 124,
+            151, 155, 181, 199, 211, 248, 271, 301, 348, 405,
+        ]
 
 
 class TestVerify:
