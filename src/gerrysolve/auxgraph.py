@@ -19,6 +19,11 @@ are s when i = 1 and otherwise the live (h, i-1) for ascending h, and the
 tails of t are the live (h, n); detfpt and randfpt loop over these tails
 themselves.
 
+Only the winner table is stored, by prefix end as those loops read it, and
+filled by a numpy argmax over prefix sums of exact's rule-ordered weights.
+interval_winner (a dict by interval) and arcs (the arc list, in the order
+given on AuxGraph) are views built on each access, for tests and tracing.
+
 The payoff is a reformulation of the target question: the path instance has a
 partition where p wins exactly k_star districts and every rival at most
 k_star - 1 if and only if this DAG has an s-t path on k + 2 vertices using
@@ -35,7 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .exact import check_memory_budget
+import numpy as np
+
+from .exact import check_memory_budget, rule_ordered_weights
 from .model import (
     DEFAULT_RULE,
     Instance,
@@ -65,9 +72,9 @@ Arc = Tuple[Vertex, Vertex, Optional[ArcLabel]]
 class AuxGraph:
     """The layered interval DAG for one (instance, k_star) pair.
 
-    Only the winner table is stored; successors and arcs are computed from
-    the closed form, in closed-form order: tails by (start, end), heads by
-    ascending end, labeled copies by ascending copy index.
+    tails[e][h - 1] is the winner of (h, e), h = 1..e; tails[0] is empty.
+    arcs lists tails by (start, end), heads by ascending end and labeled
+    copies by ascending copy index, the closed form's order.
     """
 
     n: int
@@ -75,7 +82,13 @@ class AuxGraph:
     k_star: int
     p: int
     m: int
-    interval_winner: Dict[Tuple[int, int], int]
+    tails: List[List[int]]
+
+    @property
+    def interval_winner(self) -> Dict[Tuple[int, int], int]:
+        """Winner by interval (i, j), in (start, end) order."""
+        n = self.n
+        return {(i, j): self.tails[j][i - 1] for i in range(1, n + 1) for j in range(i, n + 1)}
 
     @property
     def vertices(self) -> List[Vertex]:
@@ -88,27 +101,15 @@ class AuxGraph:
     def vertex_count(self) -> int:
         return self.n * (self.n - 1) // 2 + self.n + 2
 
-    def _live(self, interval: Tuple[int, int]) -> bool:
-        return self.k_star >= 2 or self.interval_winner[interval] == self.p
-
-    def successors(self, v: Vertex) -> List[Vertex]:
-        """Distinct arc heads out of v (parallel labeled copies collapsed)."""
-        if v == SOURCE:
-            return [(1, j) for j in range(1, self.n + 1)]
-        if v == SINK or not self._live(v):
-            return []
-        if v[1] == self.n:
-            return [SINK]
-        return [(v[1] + 1, r) for r in range(v[1] + 1, self.n + 1)]
-
     @property
     def arcs(self) -> List[Arc]:
-        """Every arc, parallel labeled copies included, built on each access."""
-        out: List[Arc] = [(SOURCE, head, None) for head in self.successors(SOURCE)]
-        for tail in self.vertices[1:-1]:
-            w = self.interval_winner[tail]
+        """Every arc, parallel copies included; none leave rival-won intervals at k_star = 1."""
+        n = self.n
+        out: List[Arc] = [(SOURCE, (1, j), None) for j in range(1, n + 1)]
+        for (i, j), w in self.interval_winner.items():
             labels = [None] if w == self.p else [ArcLabel(w, c) for c in range(1, self.k_star)]
-            out.extend((tail, head, lab) for head in self.successors(tail) for lab in labels)
+            heads = [(j + 1, r) for r in range(j + 1, n + 1)] if j < n else [SINK]
+            out.extend(((i, j), head, lab) for head in heads for lab in labels)
         return out
 
     def label_universe(self) -> List[ArcLabel]:
@@ -131,23 +132,20 @@ def build_aux_graph(
     if not (1 <= k_star <= inst.k):
         raise ValueError(f"k_star={k_star} outside 1..k={inst.k}")
     n = inst.n
-    check_memory_budget(n * (n + 1) // 2 * 107)  # bytes per entry and key, at n = 400
+    # 107 B per entry is what the interval_winner view takes (tracemalloc,
+    # n = 400, m = 2-4).  The stored table takes 8.4 and its build peaks at 9.
+    check_memory_budget(n * (n + 1) // 2 * 107)
 
-    # Running totals: (i, j) is (i, j - 1) plus vertex j's weights.  A unique
-    # maximum needs no tie-break, so rule.pick runs only on ties.
-    winner: Dict[Tuple[int, int], int] = {}
-    for i in range(1, n + 1):
-        totals = [0] * inst.m
-        for j in range(i, n + 1):
-            for c, w in inst.weights[j - 1].items():
-                totals[c] += w
-            best = max(totals)
-            if totals.count(best) == 1:
-                winner[(i, j)] = totals.index(best)
-            else:
-                winner[(i, j)] = rule.pick([c for c, t in enumerate(totals) if t == best], inst.p)
-
-    return AuxGraph(n=n, k=inst.k, k_star=k_star, p=inst.p, m=inst.m, interval_winner=winner)
+    # Column e: the totals of (h, e) for every h are prefix[e] - prefix[h - 1],
+    # one pass over e x m values, so no more than that is ever held at once.
+    order, table = rule_ordered_weights(inst, rule)
+    prefix = np.zeros((n + 1, inst.m), dtype=table.dtype)
+    np.cumsum(table, axis=0, out=prefix[1:])
+    ranked = np.array(order)
+    tails: List[List[int]] = [[]]
+    for e in range(1, n + 1):
+        tails.append(ranked[np.argmax(prefix[e] - prefix[:e], axis=1)].tolist())
+    return AuxGraph(n=n, k=inst.k, k_star=k_star, p=inst.p, m=inst.m, tails=tails)
 
 
 def decode_path(aux: AuxGraph, st_path: Iterable[Vertex]) -> Partition:

@@ -61,6 +61,7 @@ from .model import (
     instance_to_json,
     load_instance,
     satisfies_target,
+    save_instance,
 )
 from .oracle import GENERAL_VERTEX_CAP, first_target, solve_target_oracle
 from .randfpt import check_trials, solve_target_rand
@@ -478,13 +479,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
         weight_max=args.weight_max,
         k=args.k,
     )
-    text = instance_to_json(inst)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_instance(inst, args.out)
     return 0
+
+
+def write_instance(inst: Instance, out: Optional[str]) -> None:
+    """The instance's canonical JSON to the file out, or to stdout without one."""
+    if out is None:
+        sys.stdout.write(instance_to_json(inst))
+    else:
+        save_instance(inst, out)
 
 
 def load_rainbow(path: str) -> reduction.RainbowMatchingInstance:
@@ -508,12 +512,7 @@ def load_rainbow(path: str) -> reduction.RainbowMatchingInstance:
 def cmd_reduce_rainbow(args: argparse.Namespace) -> int:
     rm = load_rainbow(args.file)
     gadget = reduction.reduce(rm)
-    text = instance_to_json(gadget.instance)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_instance(gadget.instance, args.out)
     return 0
 
 

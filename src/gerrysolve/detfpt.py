@@ -113,8 +113,7 @@ def dp_step(table: DpTable, i: int, r: int, e: int) -> Set[int]:
     lowest_only = table.use_represent
     merged: Set[int] = set()
     back: Dict[int, _BackRec] = {}
-    for h in range(1, e + 1):
-        winner = aux.interval_winner[(h, e)]
+    for h, winner in enumerate(aux.tails[e], 1):
         if winner == aux.p:
             for mask in families.get((i - 1, r - 1, h - 1), ()):
                 if mask not in merged:

@@ -205,6 +205,16 @@ def _over_subsets(values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
     return out
 
 
+def rule_ordered_weights(inst: Instance, rule: TieBreakRule) -> Tuple[List[int], np.ndarray]:
+    """rule.order of the candidates, and the n x m weights in that column order.
+    argmax over summed rows keeps the first maximal column, the first maximiser
+    in rule.order, which is rule.pick of the tied set.  int64 when the whole
+    weight fits, else Python ints in an object array (2**70 weights are valid)."""
+    order = rule.order(range(inst.m), inst.p)
+    table = np.array([[inst.weight(v, c) for c in order] for v in range(inst.n)], dtype=object)
+    return order, table.astype(np.int64 if table.sum() <= np.iinfo(np.int64).max else object)
+
+
 def enumerate_districts(
     inst: Instance, rule: TieBreakRule = DEFAULT_RULE, cap: int = VERTEX_CAP
 ) -> DistrictFamily:
@@ -218,11 +228,9 @@ def enumerate_districts(
     of them still grow, then only those that grew.  Totals, one column per
     candidate in rule.order, are low[mask & low_bits] + high[mask >> n//2],
     subset sums over each half of the vertices (Björklund, Husfeldt, Kaski &
-    Koivisto, STOC 2007).  argmax keeps the first maximal column, the first
-    maximiser in rule.order, which is rule.pick of the tied set.  Totals are
-    int64 when the whole weight fits, else Python ints in an object array
-    (2**70 weights are valid input).  Scoring 2**n/4m masks at a time keeps
-    the peak under the 104 bytes per mask of solve_target_exact's estimate
+    Koivisto, STOC 2007), and argmax picks the winner (rule_ordered_weights
+    gives the argument).  Scoring 2**n/4m masks at a time keeps the peak
+    under the 104 bytes per mask of solve_target_exact's estimate
     (tracemalloc, complete graphs, n=16, m=3-5: 25 with int64 totals, 47 near
     2**70) plus the half tables' m * 2**(ceil(n/2) + 1) entries, which that
     estimate also counts.
@@ -245,9 +253,7 @@ def enumerate_districts(
         reach[live] = grown[moved]
     connected = np.flatnonzero(reach == masks)[1:]
     del nbr, masks, reach, live, grown
-    order = rule.order(range(inst.m), inst.p)
-    table = np.array([[inst.weight(v, c) for c in order] for v in range(n)], dtype=object)
-    table = table.astype(np.int64 if table.sum() <= np.iinfo(np.int64).max else object)
+    order, table = rule_ordered_weights(inst, rule)
     half = n // 2
     low, high = _over_subsets(table[:half], np.add), _over_subsets(table[half:], np.add)
     first = np.empty(connected.size, dtype=np.intp)

@@ -18,7 +18,7 @@ integers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 GRAPH_CLASSES = ("path", "tree", "general")
@@ -82,8 +82,6 @@ class Instance:
     k: int
     weights: Tuple[Dict[int, int], ...]
 
-    _adj: Optional[List[List[int]]] = field(default=None, repr=False, compare=False)
-
     @property
     def m(self) -> int:
         return len(self.candidates)
@@ -93,9 +91,8 @@ class Instance:
 
     @property
     def adjacency(self) -> List[List[int]]:
-        if self._adj is None:
-            object.__setattr__(self, "_adj", build_adjacency(self.n, self.edges))
-        return self._adj  # type: ignore[return-value]
+        """Neighbour lists, built on each access from the current edges."""
+        return build_adjacency(self.n, self.edges)
 
     def validate(self) -> None:
         """Raise ValueError on any malformed field."""
@@ -259,6 +256,7 @@ def partition_problems(inst: Instance, part: Partition) -> List[str]:
     if len(part.districts) != inst.k:
         problems.append(f"{len(part.districts)} districts, expected k={inst.k}")
     seen: Dict[int, int] = {}
+    adj = inst.adjacency
     for idx, dist in enumerate(part.districts):
         if not dist.vertices:
             problems.append(f"district {idx} is empty")
@@ -270,7 +268,7 @@ def partition_problems(inst: Instance, part: Partition) -> List[str]:
                 problems.append(f"vertex {v} appears in districts {seen[v]} and {idx}")
             else:
                 seen[v] = idx
-        if not is_connected_subset(inst.adjacency, dist.vertices):
+        if not is_connected_subset(adj, dist.vertices):
             problems.append(f"district {idx} is not connected")
     missing = [v for v in range(inst.n) if v not in seen]
     if missing:

@@ -180,8 +180,7 @@ def build_circuit(inst: Instance, k_star: int, rule: TieBreakRule = DEFAULT_RULE
         if key in memo:
             return memo[key]
         terms: List[int] = []
-        for h in range(1, e + 1):
-            winner = aux.interval_winner[(h, e)]
+        for h, winner in enumerate(aux.tails[e], 1):
             if winner == aux.p:
                 g = psi(i - 1, r - 1, h - 1)
                 if g != zero:

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,7 @@ from gerrysolve.auxgraph import (
     build_aux_graph,
     decode_path,
 )
-from gerrysolve.model import Instance, TieBreakRule, validate_partition
+from gerrysolve.model import Instance, TieBreakRule, district_winner, validate_partition
 from gerrysolve.oracle import solve_target_oracle
 
 LEX = TieBreakRule("lex_min_candidate")
@@ -161,15 +162,11 @@ def stored_arcs(aux):
     return arcs
 
 
-def dedup(seq):
-    return list(dict.fromkeys(seq))
-
-
 class TestClosedForm:
     def test_neighbours_match_the_arc_list(self):
-        # The arcs property is built from successors(), so it is checked
-        # against an explicit construction first; neighbour lists are then
-        # the in-order dedup of that list, s, t and dead intervals included.
+        # The arcs view is checked against an explicit construction, and the
+        # samples must include dead intervals: rival-won with k_star = 1, so
+        # no arc leaves them.
         rng = random.Random(30)
         dead_seen = 0
         for n in range(1, 11):
@@ -180,25 +177,49 @@ class TestClosedForm:
                         aux = build_aux_graph(inst, k_star, rule)
                         arcs = aux.arcs
                         assert isinstance(arcs, list) and arcs == stored_arcs(aux)
-                        for v in aux.vertices:
-                            assert aux.successors(v) == dedup(h for t, h, _ in arcs if t == v)
-                            dead_seen += v not in (SOURCE, SINK) and not aux.successors(v)
+                        live = {t for t, _, _ in arcs}
+                        dead_seen += sum(v not in live for v in aux.vertices[1:-1])
         assert dead_seen > 50
 
     def test_no_arcs_stored_on_a_long_path(self):
         # Stored arcs would be about 4.35M tuples here (about 1 GB); the
-        # winner table and one neighbour list at a time stay small.
+        # winner table and the reads of its columns stay small.
         inst = random_instance(random.Random(31), graph_class="path", n=200, m=4, k=12)
         tracemalloc.start()
         try:
             aux = build_aux_graph(inst, 5)
-            for i in range(1, aux.n + 1):
-                for j in range(i, aux.n + 1):
-                    aux.successors((i, j))
+            read = sum(len(aux.tails[e]) for e in range(aux.n + 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert read == math.comb(201, 2)
         assert peak < 32 * 2**20, peak
+
+
+class TestWinnerTable:
+    def test_matches_the_scalar_winner(self):
+        # Every entry against model.district_winner, with ties (weights 1-2)
+        # and, every fourth instance, weights past 2**63 (object totals).
+        rng = random.Random(32)
+        checked = big = 0
+        for idx in range(120):
+            inst = random_instance(
+                rng, graph_class="path", n=rng.randint(1, 12), m=idx % 5 + 1, wmax=rng.randint(1, 2)
+            )
+            if idx % 4 == 3:
+                scaled = tuple({c: w << 64 for c, w in wmap.items()} for wmap in inst.weights)
+                inst = replace(inst, weights=scaled)
+                big += 1
+            for rule in (LEX, TieBreakRule("prefer_p_then_lex")):
+                aux = build_aux_graph(inst, 1, rule)
+                assert [len(col) for col in aux.tails] == list(range(inst.n + 1))
+                view = aux.interval_winner
+                assert len(view) == math.comb(inst.n + 1, 2)
+                for (h, e), w in view.items():
+                    assert w == aux.tails[e][h - 1], (h, e)
+                    assert w == district_winner(inst, range(h - 1, e), rule), (h, e)
+                    checked += 1
+        assert big == 30 and checked > 5000
 
 
 class TestDecode:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -91,7 +92,7 @@ class TestDistrictWinner:
 
     def test_whole_graph_tie_prefer_p(self):
         inst = two_vertex_instance()
-        inst2 = Instance(**{**inst.__dict__, "p": 1, "_adj": None})
+        inst2 = replace(inst, p=1)
         part = make_partition([{0, 1}])
         assert district_winner(inst2, part.districts[0], TieBreakRule("prefer_p_then_lex")) == 1
 
@@ -111,7 +112,7 @@ class TestDistrictWinner:
 class TestPartitionValidation:
     def test_valid_split(self):
         inst = two_vertex_instance()
-        inst2 = Instance(**{**inst.__dict__, "k": 2, "_adj": None})
+        inst2 = replace(inst, k=2)
         part = make_partition([{0}, {1}])
         assert validate_partition(inst2, part)
 
@@ -131,6 +132,14 @@ class TestPartitionValidation:
         msgs = "\n".join(partition_problems(inst, part))
         assert "appears in districts" in msgs and "not covered" in msgs
 
+    def test_replaced_edges_are_the_ones_checked(self):
+        # A copy with new edges must not reuse the adjacency of the original.
+        inst = random_instance(random.Random(3), graph_class="path", n=3, m=2, k=2)
+        part = make_partition([{0, 1}, {2}])
+        assert partition_problems(inst, part) == []
+        star = replace(inst, edges=((0, 2), (1, 2)), graph_class="tree")
+        assert partition_problems(star, part) == ["district 0 is not connected"]
+
     def test_evaluate_raises_on_invalid(self):
         inst = two_vertex_instance()
         with pytest.raises(ValueError):
@@ -140,7 +149,7 @@ class TestPartitionValidation:
 class TestEvaluate:
     def test_two_singletons_tie_no_strict_winner(self):
         inst = two_vertex_instance()
-        inst2 = Instance(**{**inst.__dict__, "k": 2, "_adj": None})
+        inst2 = replace(inst, k=2)
         wins, strict = evaluate_partition(inst2, make_partition([{0}, {1}]))
         assert wins == {0: 1, 1: 1}
         assert not strict
@@ -155,7 +164,7 @@ class TestEvaluate:
         inst = two_vertex_instance()
         part = make_partition([{0, 1}])
         assert satisfies_target(inst, part, 1)
-        inst2 = Instance(**{**inst.__dict__, "k": 2, "_adj": None})
+        inst2 = replace(inst, k=2)
         assert not satisfies_target(inst2, make_partition([{0}, {1}]), 1)
 
     def test_m_equals_one_always_strict(self):
@@ -187,7 +196,7 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="index-order"):
             inst.validate()
         # Same edges honestly labeled as a tree pass.
-        inst2 = Instance(**{**inst.__dict__, "graph_class": "tree", "_adj": None})
+        inst2 = replace(inst, graph_class="tree")
         inst2.validate()
 
     def test_classify(self):
@@ -199,13 +208,13 @@ class TestInstanceValidation:
 
     def test_k_out_of_range(self):
         inst = two_vertex_instance()
-        bad = Instance(**{**inst.__dict__, "k": 3, "_adj": None})
+        bad = replace(inst, k=3)
         with pytest.raises(ValueError):
             bad.validate()
 
     def test_nonpositive_weight_rejected(self):
         inst = two_vertex_instance()
-        bad = Instance(**{**inst.__dict__, "weights": ({0: 0}, {1: 3}), "_adj": None})
+        bad = replace(inst, weights=({0: 0}, {1: 3}))
         with pytest.raises(ValueError):
             bad.validate()
 
@@ -233,7 +242,7 @@ class TestJsonRoundTrip:
         inst = two_vertex_instance()
         text = instance_to_json(inst)
         back = instance_from_json(text)
-        assert back == Instance(**{**inst.__dict__, "_adj": None})
+        assert back == inst
         assert instance_to_json(back) == text
 
     def test_round_trip_random(self):

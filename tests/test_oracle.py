@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -161,7 +162,7 @@ class TestEnumerationQuality:
 
     def test_cap_enforced(self):
         inst = random_instance(random.Random(13), graph_class="path", n=17, k=2)
-        relabeled = Instance(**{**inst.__dict__, "graph_class": "general", "_adj": None})
+        relabeled = replace(inst, graph_class="general")
         with pytest.raises(ValueError, match="capped"):
             next(enumerate_partitions(relabeled, strategy="recursive_general"))
 
