@@ -10,10 +10,10 @@ loop, the only solve pipeline in the package; solve_wgm is the same loop
 for library callers, plus a witness when the exact solver said yes.  A
 target with k > m * k_star - (m - 1) is a no without a solver run: the
 m - 1 rivals held to k_star - 1 wins cannot take the other districts.
-The rest go out in runs of consecutive targets with one solver, and the
-oracle answers a run from one scan.  --algo forces the solver; auto
-weighs the oracle's cut-choice count against a fixed budget and the path
-DP's cost estimate and falls back to the subset-algebra solver off paths.
+The rest go to one solver per request; the oracle answers them from one
+scan.  --algo forces the solver; auto reads only the instance, weighs the
+oracle's cut-choice count against a fixed budget and the path DP's cost
+estimate at k_star = k, and falls back to the subset-algebra solver off paths.
 
 gen emits a random instance, byte-identical for a given seed.  Trees come
 from random Pruefer sequences; general graphs add extra edges on top of a
@@ -42,7 +42,6 @@ import time
 from bisect import insort
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import groupby
 from math import comb
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -58,6 +57,7 @@ from .model import (
     Partition,
     TieBreakRule,
     _typed,
+    decode_json,
     instance_to_json,
     load_instance,
     satisfies_target,
@@ -81,19 +81,20 @@ DIFFTEST_MAX_CANDIDATES = 4
 # --------------------------------------------------------------------------
 
 
-def pick_solver(inst: Instance, k_star: int) -> str:
-    """Cheapest applicable deterministic solver for one target count.
+def pick_solver(inst: Instance) -> str:
+    """Cheapest applicable deterministic solver, one for every target.
 
     On a path the oracle runs only while its C(n-1, k-1) cut choices stay
-    within ORACLE_CUT_BUDGET and below the DP's loose 4^(k - k_star) * n^3
-    estimate.  Off paths the DP does not apply, so the oracle runs while its
-    enumeration stays small and the subset-algebra solver covers the rest up
-    to its cap.  The estimates only steer dispatch; every solver stays exact.
+    within ORACLE_CUT_BUDGET and below n^3, the DP's loose 4^(k - k_star) * n^3
+    estimate at k_star = k.  As 4^(k - k_star) >= 1 that is its least value,
+    so no target whose own estimate favours the DP runs on the oracle.
+    Elsewhere the oracle runs while its enumeration stays small, then the
+    subset-algebra solver up to its cap.  Estimates only steer dispatch.
     """
     n, k = inst.n, inst.k
     if inst.graph_class == "path":
         cuts = comb(n - 1, k - 1)
-        if cuts <= ORACLE_CUT_BUDGET and cuts < 4 ** (k - k_star) * n**3:
+        if cuts <= ORACLE_CUT_BUDGET and cuts < n**3:
             return "oracle"
         return "detfpt"
     if inst.graph_class == "tree":
@@ -117,8 +118,8 @@ def run_target(
     seed: int = 0,
     trials: int = 8,
 ) -> Tuple[Optional[int], Optional[Partition]]:
-    """Smallest target in the run that is a yes and its witness, if the
-    solver has one; the oracle scans once, the others go target by target."""
+    """Smallest of the targets that is a yes and its witness, if the solver
+    has one; the oracle scans once, the others go target by target."""
     if solver == "oracle":
         return first_target(inst, targets, rule)
     for ks in targets:
@@ -141,8 +142,9 @@ def target_ruled_out(inst: Instance, k_star: int) -> bool:
     Every district has exactly one winner.  If p wins k_star districts and
     each of the m - 1 rivals wins at most k_star - 1, then
     k <= k_star + (m - 1)(k_star - 1) = m * k_star - (m - 1).  A larger k
-    leaves districts that no admissible winner can take.  k_star = k is
-    never ruled out, since m * k - (m - 1) >= k for every k >= 1.
+    leaves districts that no admissible winner can take; k_star = k never
+    does, as m * k - (m - 1) >= k.  A ruled-out target skips its solver
+    run, on long paths the DP's costliest.
     """
     return inst.k > inst.m * k_star - (inst.m - 1)
 
@@ -159,12 +161,11 @@ def solve_targets(
 
     Tries k_star alone when given, else every target from 1 to k in order;
     the plain question is the disjunction of the targets.  A target that
-    target_ruled_out rejects is a no without running a solver, which spares
-    auto the oracle scans it would pick for low targets on long paths.  The
-    rest go to run_target in runs of consecutive targets with the same
-    solver, so a run on the oracle costs one scan.  The path-only, forced
-    oracle budget and trials checks run first, so a skipped target cannot
-    hide a usage error and an unaffordable scan never starts.
+    target_ruled_out rejects is a no without running a solver.  If any is
+    live, one solver (under auto, pick_solver's) gets them all in one
+    run_target call, so the oracle answers from one scan.  The path-only,
+    forced oracle budget and trials checks run first, so a skipped target
+    cannot hide a usage error and an unaffordable scan never starts.
     Returns (None, None, algo) when every target is a no.
     pick_solver and run_target are looked up in this module's globals at
     call time, so wrappers installed on the module see every pick and run.
@@ -183,9 +184,9 @@ def solve_targets(
     check_trials(trials)
     targets = [k_star] if k_star is not None else range(1, inst.k + 1)
     live = [ks for ks in targets if not target_ruled_out(inst, ks)]
-    runs = groupby(live, lambda ks: pick_solver(inst, ks) if algo == "auto" else algo)
-    for solver, run in runs:
-        found, part = run_target(inst, list(run), solver, rule, seed=seed, trials=trials)
+    if live:
+        solver = pick_solver(inst) if algo == "auto" else algo
+        found, part = run_target(inst, live, solver, rule, seed=seed, trials=trials)
         if found is not None:
             return found, part, solver
     return None, None, algo
@@ -198,16 +199,14 @@ def solve_wgm(
 
     solve_targets over every target, plus one witness step: when the exact
     solver says yes, the witness comes from the solver pick_solver names
-    for that target, and is None when that is the exact solver itself.
+    for the instance, and is None when that is the exact solver itself.
     randfpt never yields a witness.
     """
     k_star, part, solver = solve_targets(inst, rule, algo)
     if k_star is None:
         return False, None
-    if solver == "exact":
-        witness_solver = pick_solver(inst, k_star)
-        if witness_solver != "exact":
-            part = run_target(inst, [k_star], witness_solver, rule)[1]
+    if solver == "exact" and (witness_solver := pick_solver(inst)) != "exact":
+        part = run_target(inst, [k_star], witness_solver, rule)[1]
     return True, part
 
 
@@ -494,10 +493,7 @@ def write_instance(inst: Instance, out: Optional[str]) -> None:
 def load_rainbow(path: str) -> reduction.RainbowMatchingInstance:
     """Read a rainbow matching question: {"n": int, "colors": [...], "k": int}."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not valid JSON: {exc}") from exc
+        obj = decode_json(fh.read())
     missing = {"n", "colors", "k"} - set(_typed(obj, dict, "rainbow matching JSON"))
     if missing:
         raise ValueError(f"rainbow matching JSON missing keys: {sorted(missing)}")

@@ -382,13 +382,17 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def decode_json(text: str):
+    """json.loads, with malformed or too deeply nested text a ValueError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"not valid JSON: {exc}") from exc
+
+
 def instance_from_json(text: str) -> Instance:
     """Parse and validate an instance; any malformed field raises ValueError."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
-    _typed(obj, dict, "instance JSON")
+    obj = _typed(decode_json(text), dict, "instance JSON")
     required = {"n", "edges", "graph_class", "candidates", "p", "k", "weights"}
     missing = required - set(obj)
     if missing:

@@ -225,6 +225,15 @@ class TestSolve:
         bad.write_text(text, encoding="utf-8")
         assert_one_line_error("solve", str(bad))
 
+    def test_deeply_nested_json_is_a_one_line_error(self, tmp_path):
+        # json.loads recurses once per bracket and runs out of stack
+        deep = "[" * 100_000 + "]" * 100_000
+        bad = tmp_path / "deep.json"
+        bad.write_text(deep, encoding="utf-8")
+        assert_one_line_error("solve", str(bad))
+        bad.write_text('{"n": 4, "colors": ' + deep + ', "k": 5}', encoding="utf-8")
+        assert_one_line_error("reduce-rainbow", str(bad))
+
     def test_unaffordable_randfpt_target_is_a_one_line_error(self, tmp_path):
         # k - k_star = 25 gives 2^27-entry vectors for 25 variables and
         # each of the circuit's hundreds of gates: far past the memory cap,
@@ -250,7 +259,7 @@ class TestSolve:
             build_aux_graph(inst, 2)
         path = tmp_path / "long.json"
         path.write_text(cli.instance_to_json(inst), encoding="utf-8")
-        assert pick_solver(inst, 2) == "detfpt"
+        assert pick_solver(inst) == "detfpt"
         assert_one_line_error("solve", str(path))
         assert_one_line_error("solve", str(path), "--algo", "randfpt")
 
@@ -378,7 +387,7 @@ class TestTargetLoop:
     def test_a_no_scans_the_oracle_once(self, tmp_path, capsys, monkeypatch):
         path, inst = write_instance(tmp_path, seed=1, n=7, m=3, k=5, graph_class="tree")
         live = [ks for ks in range(1, inst.k + 1) if not target_ruled_out(inst, ks)]
-        assert len(live) >= 2 and {pick_solver(inst, ks) for ks in live} == {"oracle"}
+        assert len(live) >= 2 and pick_solver(inst) == "oracle"
         scans = []
         enumerate_partitions = oracle.enumerate_partitions
 
@@ -390,6 +399,30 @@ class TestTargetLoop:
         assert cli.main(["solve", str(path)]) == 1
         assert "answer: no" in capsys.readouterr().out
         assert len(scans) == 1
+
+    def test_one_pick_and_one_run_per_request(self, tmp_path, capsys, monkeypatch):
+        calls = {"pick_solver": 0, "run_target": 0}
+
+        def counted(name):
+            fn = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        path, inst = write_instance(tmp_path, seed=1, n=7, m=3, k=5, graph_class="tree")
+        assert sum(not target_ruled_out(inst, ks) for ks in range(1, inst.k + 1)) >= 2
+        assert cli.main(["solve", str(path)]) == 1
+        assert calls == {"pick_solver": 1, "run_target": 1}
+        # a ruled-out --k-star is a no without a pick or a run
+        assert target_ruled_out(inst, 1)
+        assert cli.main(["solve", str(path), "--k-star", "1"]) == 1
+        assert "answer: no" in capsys.readouterr().out
+        assert calls == {"pick_solver": 1, "run_target": 1}
 
     def test_ruled_out_targets_are_noes(self):
         rng = random.Random(23)
@@ -422,24 +455,37 @@ class TestPickSolver:
     def test_small_cut_counts_go_to_the_oracle(self):
         rng = random.Random(0)
         inst = generate_instance(rng, n=12, m=2, graph_class="path", weight_max=3, k=2)
-        assert pick_solver(inst, 1) == "oracle"
+        assert pick_solver(inst) == "oracle"
 
     def test_wide_paths_with_high_targets_go_to_the_dp(self):
         rng = random.Random(0)
         inst = generate_instance(rng, n=40, m=2, graph_class="path", weight_max=3, k=20)
-        assert pick_solver(inst, 20) == "detfpt"
-        assert pick_solver(inst, 18) == "detfpt"
-        assert pick_solver(inst, 2) == "detfpt", "C(39, 19) cuts are past the oracle's budget"
+        assert pick_solver(inst) == "detfpt", "C(39, 19) cuts are past the oracle's budget"
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_long_paths_never_go_to_a_large_oracle_scan(self, m):
-        # The DP estimate 4^6 * 40^3 exceeds the C(39, 9) = 2.1e8 cut count,
-        # but a scan that size takes hours; k_star = 4 is not ruled out.
+        # C(39, 9) = 2.1e8 cut choices: a scan that size takes hours
         inst = generate_instance(
             random.Random(21), n=40, m=m, graph_class="path", weight_max=4, k=10
         )
-        assert not target_ruled_out(inst, 4)
-        assert pick_solver(inst, 4) == "detfpt"
+        assert pick_solver(inst) == "detfpt"
+
+    def test_mid_size_path_goes_to_the_dp_for_every_target(self):
+        # C(29, 5) = 118,755 cuts fit the budget but reach 30^3 = 27,000, the
+        # DP's estimate at k_star = k, so every target runs on the DP, even
+        # k_star <= 4, whose own estimate 4^(6 - k_star) * 27,000 is larger.
+        inst = generate_instance(
+            random.Random(3), n=30, m=3, graph_class="path", weight_max=4, k=6
+        )
+        assert math.comb(29, 5) >= 30**3
+        assert pick_solver(inst) == "detfpt"
+
+    def test_small_path_goes_to_the_oracle(self):
+        # the plain-question benchmark's path shape: C(13, 3) = 286 < 14^3
+        inst = generate_instance(
+            random.Random(3), n=14, m=3, graph_class="path", weight_max=4, k=4
+        )
+        assert pick_solver(inst) == "oracle"
 
     def test_never_a_path_solver_off_paths(self):
         rng = random.Random(1)
@@ -449,14 +495,13 @@ class TestPickSolver:
                 inst = generate_instance(
                     rng, n=n, m=2, graph_class=gclass, weight_max=3, k=rng.randint(1, n)
                 )
-                for ks in range(1, inst.k + 1):
-                    assert pick_solver(inst, ks) in ("oracle", "exact")
+                assert pick_solver(inst) in ("oracle", "exact")
 
     def test_oversized_instances_have_no_solver(self):
         rng = random.Random(2)
         inst = generate_instance(rng, n=30, m=2, graph_class="general", weight_max=3, k=3)
         with pytest.raises(ValueError, match="no solver applies"):
-            pick_solver(inst, 1)
+            pick_solver(inst)
 
 
 class TestReduceRainbow:
