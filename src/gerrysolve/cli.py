@@ -366,10 +366,12 @@ def run_difftest(
     every district count from 1 to n is swept as well.  Deterministic
     disagreements and randomized false positives are fatal; randomized
     misses on yes-instances are counted against the probability budget.
-    trials below 1 raise ValueError: the budget 3 * (1/3)**trials would
-    then tolerate every miss.
+    trials below 1 raise ValueError, as the budget 3 * (1/3)**trials would
+    then tolerate every miss; so does a count below 1, which checks nothing.
     """
     check_trials(trials)
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rng = Random(seed)
     rep = DifftestReport(trials=trials)
     classes = tuple(DIFFTEST_CAPS)
@@ -407,15 +409,8 @@ def run_difftest(
                     rep.disagreements.append(f"{tag} k*={ks}: detfpt={det} oracle={truth}")
                 elif det and not satisfies_target(variant, det_part, ks, rule):
                     rep.disagreements.append(f"{tag} k*={ks}: detfpt witness failed")
-                rand = timed(
-                    "randfpt",
-                    solve_target_rand,
-                    variant,
-                    ks,
-                    rule,
-                    trials=trials,
-                    seed=rng.randrange(1 << 30),
-                )
+                rand = timed("randfpt", solve_target_rand, variant, ks, rule,
+                             trials=trials, seed=rng.randrange(1 << 30))
                 if rand and not truth:
                     rep.disagreements.append(f"{tag} k*={ks}: randfpt yes on a no")
                 elif truth:

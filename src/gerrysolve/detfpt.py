@@ -47,13 +47,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from .auxgraph import SINK, SOURCE, AuxGraph, Vertex, build_aux_graph, decode_path
-from .model import (
-    DEFAULT_RULE,
-    Instance,
-    Partition,
-    TieBreakRule,
-    satisfies_target,
-)
+from .model import DEFAULT_RULE, Instance, Partition, TieBreakRule, satisfies_target
 from .repset import represent
 
 # back-pointer record: (start h of the interval (h, e) left behind,
@@ -107,13 +101,15 @@ def dp_step(table: DpTable, i: int, r: int, e: int) -> Set[int]:
     of the rival's label, the lowest one when pruning is on and each in
     turn when it is off.  A rival-won interval with k_star = 1 has no
     copies and so adds nothing, which is the closed form's liveness rule.
+    The tails start at h = i - 1: a cell of layer i - 1 has prefix end
+    >= i - 2, so earlier tails only look up cells that never exist.
     """
     aux = table.aux
     families = table.families
     lowest_only = table.use_represent
     merged: Set[int] = set()
     back: Dict[int, _BackRec] = {}
-    for h, winner in enumerate(aux.tails[e], 1):
+    for h, winner in enumerate(aux.tails[e][i - 2:], i - 1):
         if winner == aux.p:
             for mask in families.get((i - 1, r - 1, h - 1), ()):
                 if mask not in merged:

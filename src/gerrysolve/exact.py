@@ -209,7 +209,8 @@ def rule_ordered_weights(inst: Instance, rule: TieBreakRule) -> Tuple[List[int],
     """rule.order of the candidates, and the n x m weights in that column order.
     argmax over summed rows keeps the first maximal column, the first maximiser
     in rule.order, which is rule.pick of the tied set.  int64 when the whole
-    weight fits, else Python ints in an object array (2**70 weights are valid)."""
+    weight fits, else Python ints in an object array (2**70 weights are valid).
+    enumerate_districts, auxgraph's winner table and the oracle's scan use it."""
     order = rule.order(range(inst.m), inst.p)
     table = np.array([[inst.weight(v, c) for c in order] for v in range(inst.n)], dtype=object)
     return order, table.astype(np.int64 if table.sum() <= np.iinfo(np.int64).max else object)

@@ -23,13 +23,13 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from .exact import rule_ordered_weights
 from .model import (
     DEFAULT_RULE,
     Instance,
     Partition,
     TieBreakRule,
     adjacency_masks,
-    district_winner,
     make_partition,
     mask_vertices,
 )
@@ -164,14 +164,19 @@ def first_target(
     smaller ones, gives the per-target loop's first yes and its witness,
     since each per-target scan visits the same order.  The scan stops when
     no wanted target is left; (None, None) when no target is achieved.
+    A district's winner is the first maximal column sum of its vertices'
+    rows of rule_ordered_weights: rule.pick of the tied set, as argued there.
     """
+    order, table = rule_ordered_weights(inst, rule)
+    rows = table.tolist()
     wanted = set(targets)
     best: Optional[int] = None
     witness: Optional[Partition] = None
     for part in enumerate_partitions(inst):
         wins = [0] * inst.m
         for dist in part.districts:
-            wins[district_winner(inst, dist, rule)] += 1
+            totals = [sum(col) for col in zip(*[rows[v] for v in dist.vertices])]
+            wins[order[totals.index(max(totals))]] += 1
         wp = wins[inst.p]
         if wp in wanted and all(w < wp for c, w in enumerate(wins) if c != inst.p):
             best, witness = wp, part

@@ -171,7 +171,9 @@ def build_circuit(inst: Instance, k_star: int, rule: TieBreakRule = DEFAULT_RULE
     memo: Dict[Tuple[int, int, int], int] = {}
 
     def psi(i: int, r: int, e: int) -> int:
-        """Cell polynomial of the walks into every (e + 1, b), or into t if e = n."""
+        """Cell polynomial of the walks into every (e + 1, b), or into t if e = n.
+        The tails start at h = i - 1: a cell of layer i - 1 has prefix end
+        >= i - 2, so earlier tails only look up cells that never exist."""
         if r < 1 or r > min(i, aux.k_star + 1):
             return zero
         if i == 1:
@@ -180,7 +182,7 @@ def build_circuit(inst: Instance, k_star: int, rule: TieBreakRule = DEFAULT_RULE
         if key in memo:
             return memo[key]
         terms: List[int] = []
-        for h, winner in enumerate(aux.tails[e], 1):
+        for h, winner in enumerate(aux.tails[e][i - 2:], i - 1):
             if winner == aux.p:
                 g = psi(i - 1, r - 1, h - 1)
                 if g != zero:

@@ -289,6 +289,11 @@ class TestSolve:
         assert_one_line_error("solve", str(path), "--trials", trials)
         assert_one_line_error("difftest", "--count", "1", "--trials", trials)
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_difftest_count_below_one_is_a_one_line_error(self, count):
+        # a run over no instances would print "result: ok" with nothing checked
+        assert_one_line_error("difftest", "--count", count)
+
 
 def assert_one_line_error(*argv):
     """Run the CLI in a fresh interpreter: exit 2, one error line, no traceback."""

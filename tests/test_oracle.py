@@ -10,10 +10,12 @@ from itertools import combinations
 import pytest
 
 from conftest import path_edges, random_instance
+from gerrysolve.exact import rule_ordered_weights
 from gerrysolve.model import (
     DEFAULT_RULE,
     Instance,
     TieBreakRule,
+    district_winner,
     evaluate_partition,
     is_connected_subset,
     make_partition,
@@ -245,3 +247,58 @@ class TestSolvers:
         )
         assert first_target(inst, range(1, inst.k + 1), DEFAULT_RULE)[0] is not None
         assert solve_target_oracle(inst, 1)[0]
+
+
+class TestRuleOrderedScore:
+    """first_target scores a district as the first maximal column sum of its
+    vertices' rows of rule_ordered_weights; checked against the definition."""
+
+    def test_score_is_district_winner_on_every_connected_subset(self):
+        rng = random.Random(23)
+        ties = 0
+        for gclass in ("path", "tree", "general"):
+            for _ in range(25):
+                inst = random_instance(
+                    rng, graph_class=gclass, n=rng.randint(1, 8), m=rng.randint(1, 5), wmax=2
+                )
+                adj = inst.adjacency
+                for rule in (LEX, PREF):
+                    order, table = rule_ordered_weights(inst, rule)
+                    rows = table.tolist()
+                    for mask in range(1, 1 << inst.n):
+                        verts = [v for v in range(inst.n) if mask >> v & 1]
+                        if not is_connected_subset(adj, verts):
+                            continue
+                        totals = [sum(col) for col in zip(*[rows[v] for v in verts])]
+                        ties += totals.count(max(totals)) > 1
+                        assert order[totals.index(max(totals))] == district_winner(
+                            inst, verts, rule
+                        ), (inst, rule, verts)
+        assert ties > 500  # weights 1-2 make tied maxima common
+
+    def test_first_target_matches_a_district_winner_scan(self):
+        # Reference: score every partition with district_winner, note the
+        # first partition at each achieved k_star, answer the smallest.
+        def reference(inst, rule):
+            first = {}
+            for part in enumerate_partitions(inst):
+                wins = [0] * inst.m
+                for dist in part.districts:
+                    wins[district_winner(inst, dist, rule)] += 1
+                wp = wins[inst.p]
+                if all(w < wp for c, w in enumerate(wins) if c != inst.p):
+                    first.setdefault(wp, part)
+            return (min(first), first[min(first)]) if first else (None, None)
+
+        rng = random.Random(24)
+        yes = 0
+        for idx in range(330):
+            gclass = ("path", "tree", "general")[idx % 3]
+            inst = random_instance(
+                rng, graph_class=gclass, n=rng.randint(1, 8), m=rng.randint(1, 5), wmax=2
+            )
+            rule = (LEX, PREF)[idx % 2]
+            want = reference(inst, rule)
+            yes += want[0] is not None
+            assert first_target(inst, range(1, inst.k + 1), rule) == want, (inst, rule)
+        assert 50 < yes < 300  # both answers are common

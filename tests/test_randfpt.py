@@ -124,7 +124,11 @@ class TestCircuitSemantics:
             random.Random(21), n=40, m=4, graph_class="path", weight_max=4, k=10
         )
         cells = (inst.k + 1) * (k_star + 1) * (inst.n + 1)
-        assert build_circuit(inst, k_star, LEX).gate_count < 3 * cells
+        gates = build_circuit(inst, k_star, LEX).gate_count
+        assert gates < 3 * cells
+        # pinned: psi reads the tails of prefix end e from h = i - 1 on, as
+        # the cells of layer i - 1 it would skip never exist
+        assert gates == {2: 3351, 3: 4192, 4: 4193}[k_star]
 
     def test_circuit_rejects_bad_manual_wiring(self):
         circuit = Circuit([ArcLabel(1, 1)])
