@@ -166,7 +166,8 @@ def solve_targets(
     run_target call, so the oracle answers from one scan.  The path-only,
     forced oracle budget and trials checks run first, so a skipped target
     cannot hide a usage error and an unaffordable scan never starts.
-    Returns (None, None, algo) when every target is a no.
+    Returns (None, None, solver) when every target is a no: the solver
+    that ran, or the requested algo when every target was ruled out.
     pick_solver and run_target are looked up in this module's globals at
     call time, so wrappers installed on the module see every pick and run.
     """
@@ -184,12 +185,11 @@ def solve_targets(
     check_trials(trials)
     targets = [k_star] if k_star is not None else range(1, inst.k + 1)
     live = [ks for ks in targets if not target_ruled_out(inst, ks)]
-    if live:
-        solver = pick_solver(inst) if algo == "auto" else algo
-        found, part = run_target(inst, live, solver, rule, seed=seed, trials=trials)
-        if found is not None:
-            return found, part, solver
-    return None, None, algo
+    if not live:
+        return None, None, algo
+    solver = pick_solver(inst) if algo == "auto" else algo
+    found, part = run_target(inst, live, solver, rule, seed=seed, trials=trials)
+    return found, part, solver
 
 
 def solve_wgm(

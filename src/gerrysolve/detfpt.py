@@ -14,7 +14,11 @@ not depend on b.  The table keeps one cell (i, r, e) per prefix end e: the
 family of every vertex (e + 1, b), and for e = n the sink's.  It merges,
 over the tails (h, e), cell (i - 1, r - 1, h - 1) when p wins (h, e) and
 cell (i - 1, r, h - 1), each set extended by a copy of the rival's label,
-when a rival does.
+when a rival does: one source per h.  The fill pushes, reading only stored
+cells: each (i - 1, r', h - 1), in ascending h, goes along every (h, e) to
+the cell that interval feeds.  A target thus gets its sources in the
+ascending-h order of a pull over its tails, and merges the same sets in
+the same order, keeping the same first generator for each.
 
 Each cell is pruned to a q-representative subfamily with
 q = (k - k_star) - (i - r), the number of labels a completion of the walk
@@ -32,10 +36,19 @@ B = {(c, |A_c| + 1 .. |A_c| + d_c)} with |B| = q.  A avoids B, so some kept
 A' does, and being canonical, |A'_c| <= |A_c| whenever d_c > 0; the
 suffix's first step extends A' within the k_star - 1 copies into a
 canonical set of the next cell that the rest of the suffix completes.
-Induct over the suffix's cells.  use_represent=False skips both the
-pruning and the symmetry break, handing out every free copy in turn: far
-slower, but equal to brute-force walk enumeration, which tests check the
-fast table against.
+Induct over the suffix's cells.
+
+With pruning on, cells that cannot reach the sink are never built.  Let
+an s-t walk counted at (k + 1, k_star + 1) pass cell (i, r, e).  Its other
+k + 1 - i arcs hold the k_star + 1 - r unlabeled ones still missing, so
+k_star + 1 - r <= k + 1 - i, which is q >= 0.  For i <= k its vertex
+(e + 1, b) is the i-th of the walk's k intervals, and intervals i..k are
+nonempty and fit in e + 1..n, so n - e >= k + 1 - i; at i = k + 1 it is t
+itself, so e = n.  A cell failing either bound is on no such walk, so
+skipping it loses nothing; represent would empty those with q < 0 anyway.
+use_represent=False skips the pruning, the symmetry break and this skip,
+handing out every free copy in turn: far slower, but equal to brute-force
+walk enumeration, which tests check the fast table against.
 
 Each stored label set remembers one generating predecessor, so a successful
 run rebuilds a concrete interval chain, decodes it into a partition, and
@@ -59,13 +72,13 @@ class DpTable:
     """Families of label-set bitmasks by (i, r, prefix end e); see above.
 
     family(i, r, v) looks a vertex up by its prefix end.  Cells never
-    computed are empty families.  `back` keeps one generator (h, r', bit)
-    per set a cell keeps after pruning and none for discarded sets: the
-    walk left (h, e) behind, came from cell (i - 1, r', h - 1), and added
-    `bit`; h = 0 in the base cell stands for s.  That is enough for
-    _extract_witness: a kept set's generator is a stored set of the
-    predecessor cell, so by induction on i every lookup it makes is of a
-    kept set, down to the base cell's always-kept {0}.
+    computed, the dead cells pruning skips among them, read as empty.
+    `back` keeps one generator (h, r', bit) per set a cell keeps after
+    pruning and none for discarded sets: the walk left (h, e) behind, came
+    from cell (i - 1, r', h - 1), and added `bit`; h = 0 in the base cell
+    stands for s.  That is enough for _extract_witness: a kept set's
+    generator is a stored set of the predecessor cell, so by induction on i
+    every lookup it makes is of a kept set, down to the base cell's {0}.
     """
 
     def __init__(self, aux: AuxGraph, use_represent: bool = True, seed: int = 0):
@@ -92,58 +105,63 @@ class DpTable:
         self.back[(1, 1, 0)] = {0: (0, 0, 0)}
 
 
-def dp_step(table: DpTable, i: int, r: int, e: int) -> Set[int]:
-    """Compute, prune, store, and return the family at (i, r, e).
-
-    Pulls from the already-filled layer i - 1 over the tails (h, e): a
-    p-won tail carries the sets of (i - 1, r - 1, h - 1) over unchanged; a
-    rival-won tail extends each set of (i - 1, r, h - 1) by an unused copy
-    of the rival's label, the lowest one when pruning is on and each in
-    turn when it is off.  A rival-won interval with k_star = 1 has no
-    copies and so adds nothing, which is the closed form's liveness rule.
-    The tails start at h = i - 1: a cell of layer i - 1 has prefix end
-    >= i - 2, so earlier tails only look up cells that never exist.
+def dp_step(table: DpTable, i: int) -> None:
+    """Compute, prune and store every cell of layer i by pushing the stored
+    cells of layer i - 1; see the module docstring.  Those have prefix ends
+    >= i - 2, so h starts at i - 1.  A rival-won interval with k_star = 1
+    has no copies and so adds nothing, which is the closed form's liveness
+    rule.  Targets are pruned and stored in (r, e) order.
     """
     aux = table.aux
+    n, k, k_star, p, tails = aux.n, aux.k, aux.k_star, aux.p, aux.tails
     families = table.families
-    lowest_only = table.use_represent
-    merged: Set[int] = set()
-    back: Dict[int, _BackRec] = {}
-    for h, winner in enumerate(aux.tails[e][i - 2:], i - 1):
-        if winner == aux.p:
-            for mask in families.get((i - 1, r - 1, h - 1), ()):
-                if mask not in merged:
-                    merged.add(mask)
-                    back[mask] = (h, r - 1, 0)
-            continue
-        prev = families.get((i - 1, r, h - 1))
-        if not prev:
-            continue
-        bits = table.copy_bits.get(winner, ())
-        for mask in prev:
-            for bit in bits:
-                if mask & bit:
+    pruned = table.use_represent
+    lo, hi = 0, n
+    if pruned:  # prefix ends with room left for the k + 1 - i intervals to come
+        lo, hi = (n, n) if i == k + 1 else (0, n - (k + 1 - i))
+    cells: Dict[Tuple[int, int], Tuple[Set[int], Dict[int, _BackRec]]] = {}
+    for h in range(i - 1, hi + 1):
+        for r0 in range(1, min(i - 1, k_star + 1) + 1):
+            prev = families.get((i - 1, r0, h - 1))
+            if not prev:
+                continue
+            extended: Dict[int, List[Tuple[int, int]]] = {}  # by winner
+            for e in range(max(h, lo), hi + 1):
+                winner = tails[e][h - 1]
+                r = r0 + (winner == p)
+                if r > k_star + 1 or pruned and i - r > k - k_star:
                     continue
-                new = mask | bit
-                if new not in merged:
-                    merged.add(new)
-                    back[new] = (h, r, bit)
-                if lowest_only:
-                    break
+                pairs = extended.get(winner)
+                if pairs is None:  # (set | bit, bit) for the lowest free copy, or each one
+                    bits = (0,) if winner == p else table.copy_bits.get(winner, ())
+                    pairs = extended[winner] = []
+                    for mask in prev:
+                        free = [(mask | bit, bit) for bit in bits if not mask & bit]
+                        pairs.extend(free[:1] if pruned else free)
+                if not pairs:
+                    continue
+                cell = cells.get((r, e))
+                if cell is None:
+                    cell = cells[(r, e)] = (set(), {})
+                merged, back = cell
+                for new, bit in pairs:
+                    if new not in merged:
+                        merged.add(new)
+                        back[new] = (h, r0, bit)
 
-    if table.use_represent and merged:
-        q = (aux.k - aux.k_star) - (i - r)
-        kept = represent(
-            merged, q, table.universe_size, seed=table.seed * 1000003 + table._cell_counter
-        )
-        table._cell_counter += 1
-    else:
-        kept = merged
-
-    if kept:
-        families[(i, r, e)] = kept
-        table.back[(i, r, e)] = {mask: back[mask] for mask in kept}
-    return kept
+    for r, e in sorted(cells):
+        merged, back = cells[(r, e)]
+        if pruned:
+            q = (k - k_star) - (i - r)
+            kept = represent(
+                merged, q, table.universe_size, seed=table.seed * 1000003 + table._cell_counter
+            )
+            table._cell_counter += 1
+        else:
+            kept = merged
+        if kept:
+            families[(i, r, e)] = kept
+            table.back[(i, r, e)] = {mask: back[mask] for mask in kept}
 
 
 def run_dp(
@@ -153,18 +171,13 @@ def run_dp(
     use_represent: bool = True,
     seed: int = 0,
 ) -> DpTable:
-    """Fill the whole table up to the sink cell (k + 1, k_star + 1, n).
-
-    Layer i covers i - 1 nonempty intervals before the walk's last vertex,
-    so its prefix ends start at i - 1.
-    """
+    """Fill the whole table up to the sink cell (k + 1, k_star + 1, n), one
+    layer at a time."""
     aux = build_aux_graph(inst, k_star, rule)
     table = DpTable(aux, use_represent=use_represent, seed=seed)
     table.fill_base()
     for i in range(2, aux.k + 2):
-        for r in range(1, min(i, aux.k_star + 1) + 1):
-            for e in range(i - 1, aux.n + 1):
-                dp_step(table, i, r, e)
+        dp_step(table, i)
     return table
 
 

@@ -429,6 +429,23 @@ class TestTargetLoop:
         assert "answer: no" in capsys.readouterr().out
         assert calls == {"pick_solver": 1, "run_target": 1}
 
+    def test_auto_no_names_the_solver_that_ran(self, tmp_path, capsys):
+        path = str(tmp_path / "inst.json")
+        argv = ["gen", "--seed", "3", "--n", "6", "--m", "2", "--k", "6", "--graph-class", "path"]
+        assert cli.main(argv + ["--out", path]) == 0
+        inst = cli.load_instance(path)
+        assert not target_ruled_out(inst, inst.k) and pick_solver(inst) == "oracle"
+        assert cli.main(["solve", path, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["answer"], report["algo"]) == ("no", "oracle")
+
+    def test_auto_no_with_every_target_ruled_out_keeps_the_request(self, tmp_path, capsys):
+        path, inst = write_instance(tmp_path, seed=1, n=7, m=3, k=5, graph_class="tree")
+        assert target_ruled_out(inst, 1)
+        assert cli.main(["solve", str(path), "--json", "--k-star", "1"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["answer"], report["algo"]) == ("no", "auto")
+
     def test_ruled_out_targets_are_noes(self):
         rng = random.Random(23)
         rules = (TieBreakRule("lex_min_candidate"), TieBreakRule("prefer_p_then_lex"))
@@ -584,6 +601,23 @@ class TestDifftest:
         assert rep.to_json()["answers"]["exact"]["sha256"] != answers["exact"]["sha256"]
         row = next(line for line in rep.render().splitlines() if line.startswith("oracle"))
         assert row.split()[:3] == ["oracle", str(rep.checks), str(answers["oracle"]["yes"])]
+
+    def test_pinned_answer_digests(self):
+        # Every answer of the three deterministic solvers on a fixed run, so
+        # a change that moves any of them fails here.  randfpt's answers
+        # depend on its random draws and are left out.
+        rep = run_difftest(count=300, seed=1)
+        assert (rep.checks, rep.disagreements) == (987, [])
+        answers = rep.to_json()["answers"]
+        assert answers["detfpt"] == {
+            "yes": 72,
+            "sha256": "4b7e56f7cd915154c246d408bd13498d3cc252c2ab09fdfcd6eecf2b343c8fb8",
+        }
+        for solver in ("exact", "oracle"):
+            assert answers[solver] == {
+                "yes": 198,
+                "sha256": "286ab4d5b00b42bc796f2fe6607c2150dc0bb50ec9d5ab1e9b9be0f4ba28fde8",
+            }
 
     def test_report_failure_conditions(self):
         rep = DifftestReport(trials=5)

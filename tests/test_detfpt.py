@@ -7,8 +7,8 @@ from math import comb
 
 import pytest
 
-from conftest import random_instance
-from gerrysolve import repset
+from conftest import find_st_paths, random_instance
+from gerrysolve import detfpt, repset
 from gerrysolve.auxgraph import SINK, SOURCE, ArcLabel, build_aux_graph
 from gerrysolve.detfpt import DpTable, run_dp, solve_target_det
 from gerrysolve.model import Instance, TieBreakRule, satisfies_target
@@ -46,6 +46,14 @@ def brute_families(aux, max_i):
 
     rec(SOURCE, 0, 0, 0)
     return expected
+
+
+def reaches_sink(aux, i, r, e):
+    """Both liveness bounds of cell (i, r, e): the p wins still needed fit
+    in the layers left (q >= 0), and the intervals still to come fit in the
+    vertices left, all of them at the sink layer k + 1."""
+    room = aux.n - e >= aux.k + 1 - i if i <= aux.k else e == aux.n
+    return (aux.k - aux.k_star) - (i - r) >= 0 and room
 
 
 class TestAgainstOracle:
@@ -138,11 +146,13 @@ class TestRepresentToggle:
             return dual(mask, matrix, p_card)
 
         monkeypatch.setattr(repset, "_dual_vector", spy)
+        # Only live cells are built; at k 7-8, paths of 13-15 vertices keep
+        # enough of them on the dual route.
         rng = random.Random(7)
         dual_targets = dual_yes = 0
         for _ in range(40):
             inst = random_instance(
-                rng, graph_class="path", n=rng.randint(10, 12), m=rng.randint(3, 4),
+                rng, graph_class="path", n=rng.randint(13, 15), m=rng.randint(3, 4),
                 k=rng.randint(7, 8),
             )
             for k_star in range(2, inst.k + 1):
@@ -233,6 +243,49 @@ class TestTableInvariants:
                     table = run_dp(inst, k_star, LEX, use_represent=use_represent)
                     bound = (inst.k + 1) * (k_star + 1) * (inst.n + 1)
                     assert len(table.families) <= bound, (inst.n, inst.k, k_star)
+
+    def test_cells_on_complete_walks_pass_both_bounds(self):
+        # Every cell an s-t walk with k_star + 1 unlabeled arcs and distinct
+        # labels passes is live, so skipping the rest loses no walk.
+        rng = random.Random(52)
+        walks = 0
+        for _ in range(30):
+            inst = random_instance(rng, graph_class="path", n=rng.randint(2, 8))
+            for k_star in range(1, inst.k + 1):
+                aux = build_aux_graph(inst, k_star, LEX)
+                for seq, labels in find_st_paths(aux, inst.k + 2):
+                    tagged = [lab for lab in labels if lab is not None]
+                    if len(tagged) != inst.k - k_star or len(set(tagged)) != len(tagged):
+                        continue
+                    walks += 1
+                    r = 0
+                    for i, (v, lab) in enumerate(zip(seq[1:], labels), 1):
+                        r += lab is None
+                        e = inst.n if v == SINK else v[0] - 1
+                        assert reaches_sink(aux, i, r, e), (inst, k_star, seq, i)
+        assert walks > 100
+
+    def test_pruned_fill_builds_only_live_cells(self, monkeypatch):
+        qs = []
+        prune = detfpt.represent
+
+        def spy(family, q, *args, **kwargs):
+            qs.append(q)
+            return prune(family, q, *args, **kwargs)
+
+        monkeypatch.setattr(detfpt, "represent", spy)
+        rng = random.Random(53)
+        dead_in_full = 0
+        for _ in range(30):
+            inst = random_instance(rng, graph_class="path", n=rng.randint(2, 10))
+            for k_star in range(1, inst.k + 1):
+                table = run_dp(inst, k_star, LEX)
+                for key in table.families:
+                    assert reaches_sink(table.aux, *key), (inst, k_star, key)
+                full = run_dp(inst, k_star, LEX, use_represent=False)
+                dead_in_full += sum(not reaches_sink(full.aux, *key) for key in full.families)
+        assert qs and min(qs) >= 0
+        assert dead_in_full > 0, "no dead cell to skip, so the test shows nothing"
 
     def test_back_pointers_kept_only_for_kept_sets(self):
         inst = random_instance(random.Random(0), graph_class="path", n=8, m=3, k=6)
